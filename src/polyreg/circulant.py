@@ -96,24 +96,28 @@ def eigenvalues(spec: CirculantSpec) -> list[SpectrumEntry]:
     return entries
 
 
-_SHIFT_INDEX_CACHE: dict[int, np.ndarray] = {}
+def _vector(spec: CirculantSpec, v) -> np.ndarray:
+    v = np.array(v, dtype=float)
+    if v.shape != (spec.n,):
+        raise ValueError(f"vector length {v.shape} does not match size {spec.n}")
+    return v
 
 
-def _shift_index(n: int) -> np.ndarray:
-    idx = _SHIFT_INDEX_CACHE.get(n)
-    if idx is None:
-        idx = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-        idx.setflags(write=False)
-        _SHIFT_INDEX_CACHE[n] = idx
-    return idx
+def _gather(spec: CirculantSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero coefficients c[m_t] and the (nnz, n) index (i + m_t) % n.
+
+    One application is then coeffs @ v[index]; zero coefficients cost
+    nothing, so the two-term specs of the geometries step in O(n).
+    """
+    shifts = np.flatnonzero(spec.coeffs)
+    index = (shifts[:, None] + np.arange(spec.n)[None, :]) % spec.n
+    return np.asarray(spec.coeffs)[shifts], index
 
 
 def apply(spec: CirculantSpec, v) -> np.ndarray:
     """One application of the matrix: out[i] = sum_m c[m] * v[(i + m) % n]."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (spec.n,):
-        raise ValueError(f"vector length {v.shape} does not match size {spec.n}")
-    return v[_shift_index(spec.n)] @ np.asarray(spec.coeffs)
+    coeffs, index = _gather(spec)
+    return coeffs @ _vector(spec, v)[index]
 
 
 def _unit_indices(entries: list[SpectrumEntry]) -> set[int]:
@@ -127,9 +131,7 @@ def fixed_space_limit(spec: CirculantSpec, v) -> np.ndarray:
     unit-eigenvalue indices.  Requires every other eigenvalue modulus to
     be strictly below 1, otherwise the power iteration has no limit there.
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (spec.n,):
-        raise ValueError(f"vector length {v.shape} does not match size {spec.n}")
+    v = _vector(spec, v)
     entries = eigenvalues(spec)
     unit = _unit_indices(entries)
     worst = max((e.modulus for e in entries if e.index not in unit), default=0.0)
@@ -163,30 +165,35 @@ def mean_coefficient(v) -> float:
     return math.fsum(v) / len(v)
 
 
-def iterate_until(spec: CirculantSpec, v0, target, tol: float, max_iter: int) -> IterationTrace:
+def iterate(spec: CirculantSpec, v0, target, tol: float, max_iter: int) -> IterationTrace:
     """Apply the circulant until within max-norm `tol` of `target`.
 
+    This is the one stepping loop behind every regularization.
     Convergence is checked before each application, so a vector already at
-    the target reports zero iterations.  Every intermediate vector is
-    recorded, starting with v0 itself.
+    the target, or a run with max_iter=0, reports zero iterations.  Every
+    vector is recorded, starting with v0 itself.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 0:
+        raise ValueError("max_iter must be non-negative")
+    v = _vector(spec, v0)
+    target = _vector(spec, target)
+    coeffs, index = _gather(spec)
+    steps = [v]
+    converged = bool(np.max(np.abs(v - target)) < tol)
+    while not converged and len(steps) <= max_iter:
+        v = coeffs @ v[index]
+        steps.append(v)
+        converged = bool(np.max(np.abs(v - target)) < tol)
+    return IterationTrace(steps=tuple(steps), converged=converged, iterations=len(steps) - 1)
+
+
+def iterate_until(spec: CirculantSpec, v0, target, tol: float, max_iter: int) -> IterationTrace:
+    """iterate() for callers that must allow at least one application."""
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    v = np.array(v0, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if v.shape != (spec.n,) or target.shape != (spec.n,):
-        raise ValueError("vector lengths must match the circulant size")
-    steps = [v.copy()]
-    converged = bool(np.max(np.abs(v - target)) < tol)
-    iterations = 0
-    while not converged and iterations < max_iter:
-        v = apply(spec, v)
-        steps.append(v.copy())
-        iterations += 1
-        converged = bool(np.max(np.abs(v - target)) < tol)
-    return IterationTrace(steps=tuple(steps), converged=converged, iterations=iterations)
+    return iterate(spec, v0, target, tol, max_iter)
 
 
 def predict_iterations(spec: CirculantSpec, initial_deviation_norm: float, tol: float) -> int:

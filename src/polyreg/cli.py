@@ -11,6 +11,7 @@ files via --trace / --out.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -32,17 +33,28 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
+def _float_array(data, shape: tuple, message: str) -> np.ndarray:
+    """JSON value as a finite float array of `shape` (None: any length)."""
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(message) from None
+    if (
+        arr.ndim != len(shape)
+        or any(want not in (None, got) for want, got in zip(shape, arr.shape))
+        or not np.all(np.isfinite(arr))
+    ):
+        raise ValueError(message)
+    return arr
+
+
 def _plane_triangle(data) -> euclid.PlaneTriangle:
-    if not isinstance(data, list) or len(data) != 3:
-        raise ValueError("plane input must be a JSON array of three [re, im] pairs")
-    return euclid.PlaneTriangle(tuple(complex(float(p[0]), float(p[1])) for p in data))
+    arr = _float_array(data, (3, 2), "plane input must be a JSON array of three [re, im] pairs")
+    return euclid.PlaneTriangle(tuple(complex(x, y) for x, y in arr))
 
 
 def _sphere_points(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError("sphere input must be a JSON array of [x, y, z] triples")
-    return arr
+    return _float_array(data, (None, 3), "sphere input must be a JSON array of [x, y, z] triples")
 
 
 def _complex_pairs(zs) -> list[list[float]]:
@@ -55,61 +67,45 @@ def _cmd_regularize(args) -> int:
         if args.k != 2:
             raise ValueError("plane regularization supports only k=2 (half-angle step)")
         triangle = _plane_triangle(data)
-        history = []
-        triangles = [triangle]
-        _, _, gaps = euclid.angle_gaps(triangle)
-        history.append(gaps)
+        center, radius, gaps = euclid.angle_gaps(triangle)
         target = np.full(3, _TWO_PI / 3)
-        converged = bool(np.max(np.abs(gaps - target)) < args.tol)
-        iterations = 0
-        while not converged and iterations < args.max_iter:
-            triangle = euclid.rotate_half_step(triangle)
-            _, _, gaps = euclid.angle_gaps(triangle)
-            triangles.append(triangle)
-            history.append(gaps)
-            iterations += 1
-            converged = bool(np.max(np.abs(gaps - target)) < args.tol)
-        summary = {
-            "geometry": "plane",
-            "converged": converged,
-            "iterations": iterations,
-            "final": _complex_pairs(triangles[-1].vertices),
-        }
+        run = circulant.iterate(spherical.step_spec(3, 2), gaps, target, args.tol, args.max_iter)
+        history = run.steps
+        start = cmath.phase(triangle.vertices[0] - center)
+        final = euclid.triangle_on_circle(
+            center, radius, euclid.vertex0_azimuths(start, history, 2)[-1], history[-1]
+        )
+        outcome = {"final": _complex_pairs(final.vertices)}
     elif args.geometry == "sphere":
         polygon = spherical.SphericalPolygon(_sphere_points(data))
-        result = spherical.regularize(polygon, k=args.k, tol=args.tol, max_iter=args.max_iter)
-        history = list(result.gap_history)
+        run = spherical.regularize(polygon, k=args.k, tol=args.tol, max_iter=args.max_iter)
+        history = run.gap_history
         target = np.full(polygon.n, _TWO_PI / polygon.n)
-        summary = {
-            "geometry": "sphere",
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "final": [list(map(float, v)) for v in result.final.vertices],
-        }
+        outcome = {"final": [list(map(float, v)) for v in run.final.vertices]}
     else:
-        boundary = hyperbolic.BoundaryPoints(tuple(float(x) for x in data))
+        points = _float_array(data, (None,), "hyperbolic input must be a JSON array of numbers")
+        boundary = hyperbolic.BoundaryPoints(tuple(points))
         if args.k != 2:
             raise ValueError("hyperbolic regularization has no k parameter (pair averaging)")
-        result = hyperbolic.regularize_hyperbolic(boundary, tol=args.tol, max_iter=args.max_iter)
-        history = list(result.gap_history)
+        run = hyperbolic.regularize_hyperbolic(boundary, tol=args.tol, max_iter=args.max_iter)
+        history = run.gap_history
         target = np.asarray(hyperbolic.limit_gaps(hyperbolic.gaps_from_points(boundary)).values)
-        summary = {
-            "geometry": "hyperbolic",
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "final_boundary": list(result.final.points),
-            "final_vertices": _complex_pairs(hyperbolic.polygon_from_boundary(result.final)),
+        outcome = {
+            "final_boundary": list(run.final.points),
+            "final_vertices": _complex_pairs(hyperbolic.polygon_from_boundary(run.final)),
         }
     if args.trace:
         records = emit.trace_records(history, target)
         emit.write_records(args.trace, records, emit.trace_columns(len(history[0])), args.format)
-    _print_json(summary)
+    _print_json(
+        {"geometry": args.geometry, "converged": run.converged, "iterations": run.iterations, **outcome}
+    )
     return 0
 
 
 def _cmd_eigen(args) -> int:
-    coeffs = _load_json(args.spec)
-    spec = circulant.CirculantSpec(tuple(float(c) for c in coeffs))
+    coeffs = _float_array(_load_json(args.spec), (None,), "spec must be a JSON array of numbers")
+    spec = circulant.CirculantSpec(tuple(coeffs))
     records = [
         {
             "index": e.index,
@@ -161,7 +157,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    matrix = np.asarray(_load_json(args.matrix), dtype=float)
+    matrix = _float_array(
+        _load_json(args.matrix), (None, None), "matrix must be a JSON array of equal-length rows"
+    )
     report = analyzer.classify(analyzer.LinearAngleTransform(matrix))
     payload = {
         "preserves_sum": report.preserves_sum,

@@ -124,3 +124,20 @@ def rotate_half_step(t: PlaneTriangle) -> PlaneTriangle:
         center + (z[j] - center) * cmath.exp(1j * gaps[j] / 2) for j in range(3)
     )
     return PlaneTriangle(rotated)
+
+
+def vertex0_azimuths(start: float, gap_history, k: int) -> np.ndarray:
+    """Azimuth of vertex 0 at every recorded step of a rotation run.
+
+    Each step turns vertex 0 about the fixed circle's center by its own
+    gap over k, so at step i it sits at start + sum_{t<i} gap_t[0] / k.
+    Shared by the plane and sphere decoders.
+    """
+    advances = np.array([g[0] for g in gap_history[:-1]], dtype=float) / k
+    return np.cumsum(np.concatenate(([start], advances)))
+
+
+def triangle_on_circle(center: complex, radius: float, start: float, gaps) -> PlaneTriangle:
+    """Inverse of angle_gaps: vertex 0 at azimuth start, the rest ccw by gaps."""
+    az = start + np.concatenate(([0.0], np.cumsum(gaps[:-1])))
+    return PlaneTriangle(tuple(center + radius * cmath.exp(1j * a) for a in az))

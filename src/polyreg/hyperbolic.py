@@ -275,9 +275,10 @@ def limit_gaps(b: GapVector) -> GapVector:
 
 @dataclass(frozen=True)
 class HyperbolicRegularization:
-    """Per-step boundary configurations and gap vectors, anchor held fixed."""
+    """Gap trace of an averaging run; boundaries and vertices are decoded
+    on demand from the gaps and the fixed anchor, boundary point 0."""
 
-    boundaries: tuple[BoundaryPoints, ...]
+    anchor: float
     gap_history: tuple[np.ndarray, ...]
     converged: bool
 
@@ -285,9 +286,16 @@ class HyperbolicRegularization:
     def iterations(self) -> int:
         return len(self.gap_history) - 1
 
+    def _decode(self, gaps: np.ndarray) -> BoundaryPoints:
+        return points_from_gaps(GapVector(tuple(float(b) for b in gaps)), start=self.anchor)
+
+    @property
+    def boundaries(self) -> tuple[BoundaryPoints, ...]:
+        return tuple(self._decode(g) for g in self.gap_history)
+
     @property
     def final(self) -> BoundaryPoints:
-        return self.boundaries[-1]
+        return self._decode(self.gap_history[-1])
 
     def polygons(self) -> list[list[complex]]:
         """Materialized vertex lists, one per recorded step."""
@@ -297,28 +305,13 @@ class HyperbolicRegularization:
 def regularize_hyperbolic(bp: BoundaryPoints, tol: float, max_iter: int) -> HyperbolicRegularization:
     """Iterate gap_step until within max-norm tol of the alternating limit.
 
-    The first boundary point is kept as anchor when re-materializing the
-    configuration after each step.  Gap vectors are always recorded;
-    vertices are materialized on demand via .polygons().
+    The first boundary point is kept as the anchor from which every
+    recorded gap vector is decoded back to boundary points.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 0:
-        raise ValueError("max_iter must be non-negative")
-    anchor = bp.points[0]
     gaps = gaps_from_points(bp)
-    limit = np.asarray(limit_gaps(gaps).values)
-    boundaries = [bp]
-    history = [np.asarray(gaps.values)]
-    converged = bool(np.max(np.abs(history[0] - limit)) < tol)
-    iterations = 0
-    while not converged and iterations < max_iter:
-        gaps = gap_step(gaps)
-        boundaries.append(points_from_gaps(gaps, start=anchor))
-        history.append(np.asarray(gaps.values))
-        iterations += 1
-        converged = bool(np.max(np.abs(history[-1] - limit)) < tol)
-    return HyperbolicRegularization(tuple(boundaries), tuple(history), converged)
+    limit = limit_gaps(gaps).values
+    trace = circulant.iterate(gap_step_spec(2 * bp.n), gaps.values, limit, tol, max_iter)
+    return HyperbolicRegularization(bp.points[0], trace.steps, trace.converged)
 
 
 def _measured_angles(bp: BoundaryPoints) -> list[float]:

@@ -220,7 +220,13 @@ def from_cyclic_frame(f: CyclicFrame, start_azimuth: float = 0.0) -> SphericalPo
 
 
 def step_spec(n: int, k: int) -> circulant.CirculantSpec:
-    """Circulant first row ((k-1)/k, 1/k, 0, ..., 0) driving step_k on gaps."""
+    """Circulant first row ((k-1)/k, 1/k, 0, ..., 0) driving step_k on gaps.
+
+    Only integer k >= 2 contracts the gap vector toward the regular one,
+    smaller k is rejected.
+    """
+    if int(k) != k or k < 2:
+        raise ValueError("k must be an integer >= 2")
     coeffs = [0.0] * n
     coeffs[0] = (k - 1) / k
     coeffs[1] = 1 / k
@@ -231,12 +237,9 @@ def step_k(f: CyclicFrame, k: int) -> CyclicFrame:
     """One regularization step: gap_j becomes ((k-1)*gap_j + gap_{j+1}) / k.
 
     Equivalent to rotating every vertex about the axis by its own gap over
-    k; the axis and circle are untouched.  Only integer k >= 2 contracts
-    the gap vector toward the regular one, smaller k is rejected.
+    k; the axis and circle are untouched.
     """
-    if int(k) != k or k < 2:
-        raise ValueError("k must be an integer >= 2")
-    gaps = circulant.apply(step_spec(f.n, int(k)), f.gaps)
+    gaps = circulant.apply(step_spec(f.n, k), f.gaps)
     return CyclicFrame(axis=f.axis, cos_radius=f.cos_radius, gaps=gaps)
 
 
@@ -244,13 +247,14 @@ def step_k(f: CyclicFrame, k: int) -> CyclicFrame:
 class RegularizationResult:
     """Gap trace of a regularization run, on one fixed circumcircle.
 
-    Polygons are materialized on demand from the recorded gaps and start
-    azimuths, so long traces stay cheap to produce.
+    Polygons are decoded on demand from the recorded gaps and vertex 0's
+    start azimuth, so long traces stay cheap to produce.
     """
 
     axis: np.ndarray
     cos_radius: float
-    start_azimuths: tuple[float, ...]
+    start: float
+    k: int
     gap_history: tuple[np.ndarray, ...]
     converged: bool
 
@@ -258,19 +262,19 @@ class RegularizationResult:
     def iterations(self) -> int:
         return len(self.gap_history) - 1
 
-    def polygon_at(self, index: int) -> SphericalPolygon:
-        frame = CyclicFrame(
-            axis=self.axis, cos_radius=self.cos_radius, gaps=self.gap_history[index]
-        )
-        return from_cyclic_frame(frame, start_azimuth=self.start_azimuths[index])
+    def _decode(self, gaps: np.ndarray, start_azimuth: float) -> SphericalPolygon:
+        frame = CyclicFrame(axis=self.axis, cos_radius=self.cos_radius, gaps=gaps)
+        return from_cyclic_frame(frame, start_azimuth=float(start_azimuth))
 
     @property
     def polygons(self) -> tuple[SphericalPolygon, ...]:
-        return tuple(self.polygon_at(i) for i in range(len(self.gap_history)))
+        azimuths = euclid.vertex0_azimuths(self.start, self.gap_history, self.k)
+        return tuple(self._decode(g, a) for g, a in zip(self.gap_history, azimuths))
 
     @property
     def final(self) -> SphericalPolygon:
-        return self.polygon_at(len(self.gap_history) - 1)
+        azimuths = euclid.vertex0_azimuths(self.start, self.gap_history, self.k)
+        return self._decode(self.gap_history[-1], azimuths[-1])
 
 
 def regularize(p: SphericalPolygon, k: int, tol: float, max_iter: int) -> RegularizationResult:
@@ -281,35 +285,13 @@ def regularize(p: SphericalPolygon, k: int, tol: float, max_iter: int) -> Regula
     picture exactly.  Raises NotCyclicError for inputs without a shared
     axis (fit and project those first).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 0:
-        raise ValueError("max_iter must be non-negative")
-    if int(k) != k or k < 2:
-        raise ValueError("k must be an integer >= 2")
+    spec = step_spec(p.n, k)
     frame = to_cyclic_frame(p)
     e1, e2 = _complete_frame(frame.axis)
     start = math.atan2(float(p.vertices[0] @ e2), float(p.vertices[0] @ e1))
-    target = _TWO_PI / p.n
-    spec = step_spec(p.n, int(k))
-    gaps = np.array(frame.gaps)
-    starts = [start]
-    history = [gaps]
-    converged = bool(np.max(np.abs(gaps - target)) < tol)
-    iterations = 0
-    while not converged and iterations < max_iter:
-        start += float(gaps[0]) / k
-        gaps = circulant.apply(spec, gaps)
-        starts.append(start)
-        history.append(gaps)
-        iterations += 1
-        converged = bool(np.max(np.abs(gaps - target)) < tol)
+    trace = circulant.iterate(spec, frame.gaps, np.full(p.n, _TWO_PI / p.n), tol, max_iter)
     return RegularizationResult(
-        axis=frame.axis,
-        cos_radius=frame.cos_radius,
-        start_azimuths=tuple(starts),
-        gap_history=tuple(history),
-        converged=converged,
+        frame.axis, frame.cos_radius, start, int(k), trace.steps, trace.converged
     )
 
 

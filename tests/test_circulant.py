@@ -10,6 +10,7 @@ SQRT3 = math.sqrt(3.0)
 
 METHOD1 = CirculantSpec((0.5, 0.5, 0.0))
 SKIP6 = CirculantSpec((0.5, 0.0, 0.5, 0.0, 0.0, 0.0))
+INTERIOR_ZERO = CirculantSpec((0.4, 0.0, 0.0, 0.35, 0.25))
 
 
 def ngon_spec(n, k):
@@ -114,10 +115,14 @@ class TestApply:
 
     def test_matches_dense_matrix(self):
         rng = np.random.default_rng(7)
-        for n in (3, 6, 11):
+        for n in (3, 6, 11, 64):
             spec = CirculantSpec(tuple(rng.dirichlet(np.ones(n))))
             v = rng.normal(size=n)
             assert np.allclose(circulant.apply(spec, v), spec.as_matrix() @ v, atol=1e-14)
+        v = rng.normal(size=INTERIOR_ZERO.n)
+        assert np.allclose(
+            circulant.apply(INTERIOR_ZERO, v), INTERIOR_ZERO.as_matrix() @ v, atol=1e-14
+        )
 
     def test_sum_preserved(self):
         rng = np.random.default_rng(8)
@@ -246,6 +251,16 @@ class TestIterateUntil:
         )
         for before, after in zip(trace.steps, trace.steps[1:]):
             assert np.allclose(circulant.apply(SKIP6, before), after, atol=1e-15)
+        rng = np.random.default_rng(17)
+        dense = CirculantSpec(tuple(rng.dirichlet(np.ones(64))))
+        for spec in (dense, INTERIOR_ZERO):
+            v0 = rng.normal(size=spec.n)
+            trace = circulant.iterate_until(
+                spec, v0, np.full(spec.n, np.mean(v0)), tol=1e-12, max_iter=7
+            )
+            assert len(trace.steps) > 1
+            for before, after in zip(trace.steps, trace.steps[1:]):
+                assert np.allclose(spec.as_matrix() @ before, after, atol=1e-14)
 
     def test_no_contraction_never_converges(self):
         shift = CirculantSpec((0.0, 1.0, 0.0))

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from polyreg import cli, emit
+from polyreg import cli, emit, euclid
+from polyreg.euclid import PlaneTriangle
 
 
 def run_cli(capsys, *argv):
@@ -95,12 +96,60 @@ class TestRegularizeCommand:
         assert records[0]["iteration"] == 0
         assert len(records) == summary["iterations"] + 1
 
+    def test_plane_matches_direct_stepping(self, capsys, tmp_path):
+        rng = np.random.default_rng(41)
+        for trial in range(5):
+            zs = rng.normal(size=3) + 1j * rng.normal(size=3)
+            if ((zs[1] - zs[0]).conjugate() * (zs[2] - zs[0])).imag < 0:
+                zs = zs[::-1]
+            inp = write_json(tmp_path / f"t{trial}.json", [[z.real, z.imag] for z in zs])
+            code, out = run_cli(capsys, "regularize", "--geometry", "plane", "--input", inp)
+            assert code == 0
+            summary = json.loads(out)
+            gaps = euclid.angle_gaps(PlaneTriangle(tuple(zs)))[2]
+            steps = 0
+            while np.max(np.abs(gaps - 2 * math.pi / 3)) >= 1e-9 and steps < 200:
+                gaps = (gaps + np.roll(gaps, -1)) / 2
+                steps += 1
+            assert summary["converged"] is True
+            assert summary["iterations"] == steps
+            final = PlaneTriangle(tuple(complex(x, y) for x, y in summary["final"]))
+            assert np.allclose(euclid.angle_gaps(final)[2], gaps, atol=1e-9)
+
     def test_missing_input_is_error(self, capsys, tmp_path):
         code, _ = run_cli(
             capsys, "regularize", "--geometry", "plane", "--input",
             str(tmp_path / "nope.json"),
         )
         assert code == 2
+
+
+TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+HEXAGON = [0.0, 0.3, 0.4, 0.6, 0.7, 0.9]
+SPHERE_TRIANGLE = [[0.6, 0.0, 0.8], [-0.6, 0.0, 0.8], [0.0, -0.6, 0.8]]
+
+
+@pytest.mark.parametrize(
+    "payload, argv",
+    [
+        ([[1], [2], [3]], ["regularize", "--geometry", "plane", "--input"]),
+        ([[1], [2], [3]], ["napoleon", "--geometry", "plane", "--input"]),
+        ([[1], [2], [3]], ["regularize", "--geometry", "hyperbolic", "--input"]),
+        ([[0.5, 0.5], [0.0, 0.0]], ["eigen", "--spec"]),
+        ({"rows": [[1.0, 0.0], [0.0, 1.0]]}, ["analyze", "--matrix"]),
+        (TRIANGLE, ["regularize", "--max-iter", "-1", "--geometry", "plane", "--input"]),
+        (SPHERE_TRIANGLE, ["regularize", "--max-iter", "-1", "--geometry", "sphere", "--input"]),
+        (HEXAGON, ["regularize", "--max-iter", "-1", "--geometry", "hyperbolic", "--input"]),
+    ],
+    ids=["plane-column", "napoleon-column", "hyperbolic-column", "eigen-nested",
+         "analyze-object", "plane-max-iter", "sphere-max-iter", "hyperbolic-max-iter"],
+)
+def test_malformed_input_exits_2_with_error(capsys, tmp_path, payload, argv):
+    code = cli.main(argv + [write_json(tmp_path / "in.json", payload)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
 
 
 class TestEigenCommand:

@@ -190,6 +190,11 @@ class TestRegularize:
         result = spherical.regularize(poly, k=2, tol=1e-6, max_iter=50)
         assert result.converged and result.iterations == 0
 
+    def test_zero_max_iter_reports_unconverged(self):
+        poly = ring_polygon(E3, 0.7, [0.0, math.pi, 1.5 * math.pi])
+        result = spherical.regularize(poly, k=2, tol=1e-9, max_iter=0)
+        assert not result.converged and result.iterations == 0
+
     def test_triangle_halving_matches_engine(self):
         poly = ring_polygon(E3, 0.7, [0.0, math.pi, 1.5 * math.pi])
         result = spherical.regularize(poly, k=2, tol=1e-6, max_iter=100)
