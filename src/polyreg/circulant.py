@@ -7,13 +7,14 @@ cyclic right-shift of ``c`` by ``i`` positions, so applying the matrix is
 
 All circulants of one size share the discrete Fourier vectors as
 eigenvectors, which makes eigenvalues, iteration limits and contraction
-rates available in closed form.  Every polygon transform in this package
-is driven by a row-stochastic circulant acting on a gap vector.
+rates available in closed form: the spectrum is the discrete Fourier
+transform of the first row, computed by FFT in O(n log n).  Every polygon
+transform in this package is driven by a row-stochastic circulant acting
+on a gap vector.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -78,22 +79,26 @@ class IterationTrace:
     iterations: int
 
 
+def _spectrum(spec: CirculantSpec) -> np.ndarray:
+    """n * ifft(c); adding 0.0 turns -0.0 imaginary parts into +0.0 (angle pi, not -pi)."""
+    return spec.n * np.fft.ifft(spec.coeffs) + 0.0
+
+
+def _unit_split(lam: np.ndarray) -> tuple[np.ndarray, float]:
+    """Mask of the unit eigenvalues and the largest modulus off it (0.0 if none)."""
+    unit = np.abs(lam - 1.0) <= UNIT_EIGENVALUE_TOL
+    return unit, float(np.max(np.abs(lam[~unit]), initial=0.0))
+
+
 def eigenvalues(spec: CirculantSpec) -> list[SpectrumEntry]:
     """All eigenvalues: lambda_j = sum_m c[m] w^(j*m) with w = exp(2*pi*i/n).
 
-    Evaluated on a table of n-th roots of unity with exponents reduced
-    mod n, never through a dense eigensolver; index 0 of a row-stochastic
-    spec comes out as the plain coefficient sum.
+    That sum is n * ifft(c)[j], so one FFT gives the whole spectrum in
+    O(n log n), never a dense eigensolver; index 0 is the coefficient sum.
     """
-    n = spec.n
-    roots = np.exp(2j * np.pi * np.arange(n) / n)
-    entries = []
-    for j in range(n):
-        lam = complex(sum(c * roots[(j * m) % n] for m, c in enumerate(spec.coeffs)))
-        entries.append(
-            SpectrumEntry(index=j, eigenvalue=lam, modulus=abs(lam), angle=cmath.phase(lam))
-        )
-    return entries
+    lam = _spectrum(spec)
+    polar = zip(lam.tolist(), np.abs(lam).tolist(), np.angle(lam).tolist())
+    return [SpectrumEntry(j, e, m, a) for j, (e, m, a) in enumerate(polar)]
 
 
 def _vector(spec: CirculantSpec, v) -> np.ndarray:
@@ -120,32 +125,18 @@ def apply(spec: CirculantSpec, v) -> np.ndarray:
     return coeffs @ _vector(spec, v)[index]
 
 
-def _unit_indices(entries: list[SpectrumEntry]) -> set[int]:
-    return {e.index for e in entries if abs(e.eigenvalue - 1.0) <= UNIT_EIGENVALUE_TOL}
-
-
 def fixed_space_limit(spec: CirculantSpec, v) -> np.ndarray:
     """Projection of v onto the eigenvalue-1 eigenspace; equals lim A^m v.
 
-    Built from the discrete Fourier coefficients of v at the
-    unit-eigenvalue indices.  Requires every other eigenvalue modulus to
-    be strictly below 1, otherwise the power iteration has no limit there.
+    ifft(mask * fft(v)), the mask keeping the unit-eigenvalue indices.
+    Requires every other eigenvalue modulus to be strictly below 1,
+    otherwise the power iteration has no limit there.
     """
     v = _vector(spec, v)
-    entries = eigenvalues(spec)
-    unit = _unit_indices(entries)
-    worst = max((e.modulus for e in entries if e.index not in unit), default=0.0)
+    unit, worst = _unit_split(_spectrum(spec))
     if worst >= 1.0:
-        raise NonContractingError(
-            f"non-contracting: eigenvalue modulus {worst} off the fixed space"
-        )
-    n = spec.n
-    roots = np.exp(2j * np.pi * np.arange(n) / n)
-    limit = np.zeros(n, dtype=complex)
-    for j in sorted(unit):
-        fourier = sum(v[i] * roots[(-i * j) % n] for i in range(n)) / n
-        limit += fourier * roots[(j * np.arange(n)) % n]
-    return limit.real
+        raise NonContractingError(f"non-contracting: eigenvalue modulus {worst} off the fixed space")
+    return np.fft.ifft(np.where(unit, np.fft.fft(v), 0.0)).real
 
 
 def contraction_factor(spec: CirculantSpec) -> float:
@@ -154,9 +145,7 @@ def contraction_factor(spec: CirculantSpec) -> float:
     Governs the geometric decay rate of deviations from the fixed space;
     0.0 when every eigenvalue equals 1 (nothing left to contract).
     """
-    entries = eigenvalues(spec)
-    unit = _unit_indices(entries)
-    return max((e.modulus for e in entries if e.index not in unit), default=0.0)
+    return _unit_split(_spectrum(spec))[1]
 
 
 def mean_coefficient(v) -> float:

@@ -67,13 +67,13 @@ def _cmd_regularize(args) -> int:
         if args.k != 2:
             raise ValueError("plane regularization supports only k=2 (half-angle step)")
         triangle = _plane_triangle(data)
-        center, radius, gaps = euclid.angle_gaps(triangle)
+        center, radius, turn, gaps = euclid.circle_frame(triangle)
         target = np.full(3, _TWO_PI / 3)
         run = circulant.iterate(spherical.step_spec(3, 2), gaps, target, args.tol, args.max_iter)
         history = run.steps
-        start = cmath.phase(triangle.vertices[0] - center)
+        start = turn * cmath.phase(triangle.vertices[0] - center)
         final = euclid.triangle_on_circle(
-            center, radius, euclid.vertex0_azimuths(start, history, 2)[-1], history[-1]
+            center, radius, euclid.vertex0_azimuths(start, history, 2)[-1], history[-1], turn
         )
         outcome = {"final": _complex_pairs(final.vertices)}
     elif args.geometry == "sphere":

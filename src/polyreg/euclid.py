@@ -110,6 +110,14 @@ def angle_gaps(t: PlaneTriangle) -> tuple[complex, float, np.ndarray]:
     return center, radius, gaps
 
 
+def circle_frame(t: PlaneTriangle) -> tuple[complex, float, int, np.ndarray]:
+    """angle_gaps oriented like the sphere's frame: turn = +1 (ccw) or -1 (cw)
+    is the triangle's winding, and the gaps, measured that way, sum to 2*pi."""
+    center, radius, gaps = angle_gaps(t)
+    turn = 1 if math.fsum(gaps) < 3.0 * math.pi else -1  # clockwise: ccw gaps sum to 4*pi
+    return center, radius, turn, gaps if turn == 1 else _TWO_PI - gaps
+
+
 def rotate_half_step(t: PlaneTriangle) -> PlaneTriangle:
     """Rotate each vertex about the circumcenter by half its ccw gap.
 
@@ -137,7 +145,8 @@ def vertex0_azimuths(start: float, gap_history, k: int) -> np.ndarray:
     return np.cumsum(np.concatenate(([start], advances)))
 
 
-def triangle_on_circle(center: complex, radius: float, start: float, gaps) -> PlaneTriangle:
-    """Inverse of angle_gaps: vertex 0 at azimuth start, the rest ccw by gaps."""
-    az = start + np.concatenate(([0.0], np.cumsum(gaps[:-1])))
+def triangle_on_circle(center: complex, radius: float, start: float, gaps, turn) -> PlaneTriangle:
+    """Inverse of circle_frame: vertex 0 at azimuth start, the rest by gaps,
+    every angle measured in the direction of turn (ccw for +1)."""
+    az = turn * (start + np.concatenate(([0.0], np.cumsum(gaps[:-1]))))
     return PlaneTriangle(tuple(center + radius * cmath.exp(1j * a) for a in az))

@@ -121,7 +121,8 @@ def geodesic_from_boundary(t1: float, t2: float) -> Geodesic:
     """Geodesic through the boundary points at parameters t1, t2 on R/Z.
 
     Antipodal parameters give the diameter; otherwise the arc with center
-    (u + v) / (1 + cos d) and radius |tan(d/2)|, d the angular separation.
+    (u + v) / (2 cos^2(d/2)) and radius |tan(d/2)|, d the angular separation
+    (2 cos^2(d/2) = 1 + cos d, which would cancel to 0 near d = pi).
     """
     u = cmath.exp(2j * math.pi * (t1 % 1.0))
     v = cmath.exp(2j * math.pi * (t2 % 1.0))
@@ -130,7 +131,7 @@ def geodesic_from_boundary(t1: float, t2: float) -> Geodesic:
         raise ValueError("coincident boundary points define no geodesic")
     if abs(separation - math.pi) < 1e-10:
         return Geodesic(kind="diameter", direction=u)
-    center = (u + v) / (1.0 + math.cos(separation))
+    center = (u + v) / (2.0 * math.cos(separation / 2.0) ** 2)
     # equals |tan(separation / 2)|, but computed from the center so the
     # orthogonality identity |center|^2 = 1 + radius^2 holds to rounding
     radius = math.sqrt(abs(center) ** 2 - 1.0)

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from polyreg import circulant
+from polyreg import circulant, hyperbolic, spherical
 from polyreg.circulant import CirculantSpec, NonContractingError
 
 SQRT3 = math.sqrt(3.0)
@@ -22,6 +24,42 @@ def ngon_spec(n, k):
 
 def spectrum(spec):
     return [e.eigenvalue for e in circulant.eigenvalues(spec)]
+
+
+# The O(n^2) root-of-unity evaluation the FFT replaced, kept as the
+# reference: lambda_j = sum_m c[m] w^(j*m) with exponents reduced mod n,
+# one row of the sum per j; the limit sums the Fourier terms of v at the
+# unit-eigenvalue indices.
+def loop_eigenvalues(coeffs):
+    c = np.asarray(coeffs, dtype=float)
+    n = len(c)
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    return np.array([roots[(j * np.arange(n)) % n] @ c for j in range(n)])
+
+
+def loop_fixed_space_limit(coeffs, v):
+    n = len(coeffs)
+    lam = loop_eigenvalues(coeffs)
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    limit = np.zeros(n, dtype=complex)
+    for j in np.flatnonzero(np.abs(lam - 1.0) <= circulant.UNIT_EIGENVALUE_TOL):
+        fourier = roots[(-j * np.arange(n)) % n] @ v / n
+        limit += fourier * roots[(j * np.arange(n)) % n]
+    return limit.real
+
+
+def geometry_specs(n):
+    """A random stochastic row plus the specs the geometries use at size n."""
+    specs = [CirculantSpec(tuple(np.random.default_rng(n).dirichlet(np.ones(n))))]
+    if n >= 2:
+        specs += [spherical.step_spec(n, 2), spherical.step_spec(n, 5)]
+    if n >= 6 and n % 2 == 0:
+        specs.append(hyperbolic.gap_step_spec(n))
+    return specs
+
+
+# Fixed before measuring: a few hundred ulps of an O(1) sum of n <= 2048 terms.
+LOOP_TOL = 1e-13
 
 
 class TestSpecValidation:
@@ -81,10 +119,27 @@ class TestEigenvalues:
         for e in circulant.eigenvalues(METHOD1):
             assert e.modulus == pytest.approx(abs(e.eigenvalue), abs=1e-16)
             assert -math.pi < e.angle <= math.pi
+        # the eigenvalue -1 of a swap and of the 4-cycle shift sits at +pi,
+        # never at -pi from a -0.0 imaginary part
+        for coeffs, j in (((0.0, 1.0), 1), ((0.0, 1.0, 0.0, 0.0), 2)):
+            e = circulant.eigenvalues(CirculantSpec(coeffs))[j]
+            assert e.eigenvalue == -1.0
+            assert e.angle == math.pi
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 2048])
+    def test_matches_root_of_unity_loop(self, n):
+        v = np.random.default_rng(n + 1).normal(size=n)
+        for spec in geometry_specs(n):
+            entries = circulant.eigenvalues(spec)
+            lam = np.array([e.eigenvalue for e in entries])
+            assert [e.index for e in entries] == list(range(n))
+            assert np.max(np.abs(lam - loop_eigenvalues(spec.coeffs))) <= LOOP_TOL
+            limit = circulant.fixed_space_limit(spec, v)
+            assert np.max(np.abs(limit - loop_fixed_space_limit(spec.coeffs, v))) <= LOOP_TOL
 
     def test_fourier_vectors_are_eigenvectors(self):
         rng = np.random.default_rng(42)
-        for n in (3, 4, 7, 16, 64):
+        for n in (1, 2, 3, 4, 7, 16, 64):
             coeffs = rng.dirichlet(np.ones(n))
             spec = CirculantSpec(tuple(coeffs))
             mat = spec.as_matrix()
@@ -191,7 +246,7 @@ class TestContractionFactor:
         assert circulant.contraction_factor(SKIP6) == pytest.approx(0.5, abs=1e-15)
 
     def test_general_family_formula(self):
-        for n in (4, 7, 10):
+        for n in (2, 3, 4, 7, 10, 64, 2048):
             for k in (2, 3, 5):
                 expect = max(
                     math.sqrt(k * k - 2 * k + 2 + 2 * (k - 1) * math.cos(2 * math.pi * j / n)) / k
@@ -294,7 +349,7 @@ class TestPredictIterations:
 
     def test_bound_is_sufficient(self):
         rng = np.random.default_rng(11)
-        for n, k in ((3, 2), (5, 3), (8, 4)):
+        for n, k in ((3, 2), (5, 3), (8, 4), (64, 2)):
             spec = ngon_spec(n, k)
             v = rng.dirichlet(np.ones(n))
             target = np.full(n, 1 / n)
@@ -314,3 +369,49 @@ class TestExactDecayTriangle:
             before = np.linalg.norm(v - limit)
             after = np.linalg.norm(circulant.apply(spec, v) - limit)
             assert after == pytest.approx(factor * before, abs=1e-12)
+
+
+class TestLargeN:
+    def test_sphere_step_at_4096(self):
+        # lambda_j = (1 + w^j) / 2 has modulus |cos(pi j / n)|; no timing is
+        # asserted, but an O(n^2) spectrum shows in the suite's run time
+        n = 4096
+        spec = spherical.step_spec(n, 2)
+        lam = np.array([e.eigenvalue for e in circulant.eigenvalues(spec)])
+        expect = (1 + np.exp(2j * np.pi * np.arange(n) / n)) / 2
+        assert np.max(np.abs(lam - expect)) <= LOOP_TOL
+        factor = circulant.contraction_factor(spec)
+        assert factor == pytest.approx(math.cos(math.pi / n), abs=1e-15)
+        assert circulant.predict_iterations(spec, 1.0, 1e-9) == math.ceil(
+            math.log(1e-9) / math.log(factor) - 1e-12
+        )
+
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+rows = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64).filter(lambda r: sum(r) > 0.1)
+
+
+def stochastic(row):
+    return CirculantSpec(tuple(np.asarray(row) / math.fsum(row)))
+
+
+class TestProperties:
+    @PROPERTY
+    @given(row=rows, seed=st.integers(0, 2**32 - 1))
+    def test_fixed_space_limit_is_a_fixed_projection(self, row, seed):
+        spec = stochastic(row)
+        assume(circulant.contraction_factor(spec) < 1.0)
+        v = np.random.default_rng(seed).normal(size=spec.n)
+        limit = circulant.fixed_space_limit(spec, v)
+        assert np.max(np.abs(circulant.fixed_space_limit(spec, limit) - limit)) <= 1e-12
+        assert math.fsum(limit) == pytest.approx(math.fsum(v), abs=1e-12)
+        assert np.max(np.abs(circulant.apply(spec, limit) - limit)) <= 1e-11
+
+    @PROPERTY
+    @given(row=rows, deviation=st.floats(1e-6, 1e6), tol=st.floats(1e-12, 1e-3))
+    def test_predict_iterations_closed_form(self, row, deviation, tol):
+        spec = stochastic(row)
+        factor = circulant.contraction_factor(spec)
+        assume(0.0 < factor < 1.0 - 1e-9 and deviation > tol)
+        expect = math.ceil(math.log(tol / deviation) / math.log(factor))
+        assert circulant.predict_iterations(spec, deviation, tol) == expect

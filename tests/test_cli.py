@@ -116,6 +116,32 @@ class TestRegularizeCommand:
             final = PlaneTriangle(tuple(complex(x, y) for x, y in summary["final"]))
             assert np.allclose(euclid.angle_gaps(final)[2], gaps, atol=1e-9)
 
+    def test_plane_clockwise_converges_to_equilateral(self, capsys, tmp_path):
+        # the mirror image of TRIANGLE: same circumcircle, clockwise order
+        inp = write_json(tmp_path / "cw.json", [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        code, out = run_cli(capsys, "regularize", "--geometry", "plane", "--input", inp)
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["converged"] is True
+        mirror = write_json(tmp_path / "ccw.json", TRIANGLE)
+        assert summary["iterations"] == json.loads(
+            run_cli(capsys, "regularize", "--geometry", "plane", "--input", mirror)[1]
+        )["iterations"]
+        final = PlaneTriangle(tuple(complex(x, y) for x, y in summary["final"]))
+        assert abs(euclid.equilateral_defect(final)) < 1e-8
+        for z in final.vertices:
+            assert abs(z - (0.5 + 0.5j)) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        assert euclid.circle_frame(final)[2] == -1
+
+    def test_hyperbolic_even_n(self, capsys, tmp_path):
+        # points i and i+n end up nearly antipodal; this used to divide by zero
+        inp = write_json(tmp_path / "h4.json", [0.0, 0.1, 0.25, 0.3, 0.5, 0.65, 0.7, 0.9])
+        code, out = run_cli(capsys, "regularize", "--geometry", "hyperbolic", "--input", inp)
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["converged"] is True
+        assert len(summary["final_vertices"]) == 4
+
     def test_missing_input_is_error(self, capsys, tmp_path):
         code, _ = run_cli(
             capsys, "regularize", "--geometry", "plane", "--input",

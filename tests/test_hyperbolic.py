@@ -75,6 +75,13 @@ class TestGeodesicFromBoundary:
             for angle in g.boundary_angles():
                 assert g.contains(cmath.exp(1j * angle), tol=1e-10)
 
+    def test_near_antipodal_gives_huge_arc(self):
+        # 1 + cos d rounds to exactly 0 here; the arc through the two points
+        # has |center| = 1 / cos(d/2) = 1 / sin(pi * 1e-9)
+        g = hyperbolic.geodesic_from_boundary(0.1, 0.6 + 1e-9)
+        assert g.kind == "arc"
+        assert abs(g.center) == pytest.approx(1.0 / math.sin(math.pi * 1e-9), rel=1e-6)
+
     def test_endpoints_lie_on_geodesic(self):
         g = hyperbolic.geodesic_from_boundary(0.1, 0.35)
         for t in (0.1, 0.35):
@@ -165,6 +172,19 @@ class TestPolygonFromBoundary:
         verts = hyperbolic.polygon_from_boundary(bp)
         radii = [abs(z) for z in verts]
         assert max(radii) - min(radii) < 1e-12
+
+    def test_even_n_limit_collapses_to_center(self):
+        # for even n, points i and i+n of the limit are antipodal: every side
+        # tends to a diameter and every vertex to the center; the bound
+        # allows sqrt(machine epsilon)-sized roundoff in intersect's quadratic
+        rng = np.random.default_rng(4)
+        for n in range(4, 17, 2):
+            bp = BoundaryPoints(tuple(np.sort(rng.uniform(0.0, 1.0, 2 * n))))
+            run = hyperbolic.regularize_hyperbolic(bp, tol=1e-9, max_iter=100_000)
+            assert run.converged
+            verts = hyperbolic.polygon_from_boundary(run.final)
+            assert len(verts) == n
+            assert max(abs(z) for z in verts) <= 1e-7
 
     def test_octagon_boundary(self):
         gaps = GapVector((0.2, 0.1, 0.1, 0.1, 0.2, 0.1, 0.1, 0.1))
