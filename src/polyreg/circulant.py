@@ -16,7 +16,9 @@ on a gap vector.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -68,15 +70,6 @@ class SpectrumEntry:
     eigenvalue: complex
     modulus: float
     angle: float
-
-
-@dataclass(frozen=True)
-class IterationTrace:
-    """Recorded orbit of repeated applications, oldest first."""
-
-    steps: tuple[np.ndarray, ...]
-    converged: bool
-    iterations: int
 
 
 def _spectrum(spec: CirculantSpec) -> np.ndarray:
@@ -148,41 +141,53 @@ def contraction_factor(spec: CirculantSpec) -> float:
     return _unit_split(_spectrum(spec))[1]
 
 
-def mean_coefficient(v) -> float:
-    """Fourier coefficient at index 0, i.e. the entrywise mean of v."""
-    v = np.asarray(v, dtype=float)
-    return math.fsum(v) / len(v)
+@dataclass(frozen=True)
+class Run:
+    """Outcome of iterate(): the start and last vectors and the step count.
+
+    Nothing per step is stored, so a run holds O(n) state however long it
+    was.  steps() replays the orbit with the same arithmetic, which makes
+    every replayed vector bit-identical to the one the run stepped through.
+    """
+
+    spec: CirculantSpec
+    start: np.ndarray
+    target: np.ndarray
+    final: np.ndarray
+    iterations: int
+    converged: bool
+
+    def steps(self) -> Iterator[np.ndarray]:
+        """start, A start, ..., final: the iterations + 1 vectors, lazily."""
+        return islice(_orbit(self.spec, self.start), self.iterations + 1)
 
 
-def iterate(spec: CirculantSpec, v0, target, tol: float, max_iter: int) -> IterationTrace:
+def _orbit(spec: CirculantSpec, v: np.ndarray) -> Iterator[np.ndarray]:
+    """v, A v, A^2 v, ... without end; the one stepping loop of the package."""
+    coeffs, index = _gather(spec)
+    while True:
+        yield v
+        v = coeffs @ v[index]
+
+
+def iterate(spec: CirculantSpec, v0, target, tol: float, max_iter: int) -> Run:
     """Apply the circulant until within max-norm `tol` of `target`.
 
-    This is the one stepping loop behind every regularization.
-    Convergence is checked before each application, so a vector already at
-    the target, or a run with max_iter=0, reports zero iterations.  Every
-    vector is recorded, starting with v0 itself.
+    This is the one iteration behind every regularization.  Convergence is
+    checked before each application, so a vector already at the target, or
+    a run with max_iter=0, reports zero iterations.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    if max_iter < 0:
+    if not max_iter >= 0:
         raise ValueError("max_iter must be non-negative")
-    v = _vector(spec, v0)
+    start = _vector(spec, v0)
+    start.setflags(write=False)
     target = _vector(spec, target)
-    coeffs, index = _gather(spec)
-    steps = [v]
-    converged = bool(np.max(np.abs(v - target)) < tol)
-    while not converged and len(steps) <= max_iter:
-        v = coeffs @ v[index]
-        steps.append(v)
+    for m, v in enumerate(_orbit(spec, start)):
         converged = bool(np.max(np.abs(v - target)) < tol)
-    return IterationTrace(steps=tuple(steps), converged=converged, iterations=len(steps) - 1)
-
-
-def iterate_until(spec: CirculantSpec, v0, target, tol: float, max_iter: int) -> IterationTrace:
-    """iterate() for callers that must allow at least one application."""
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    return iterate(spec, v0, target, tol, max_iter)
+        if converged or m >= max_iter:
+            return Run(spec, start, target, v, m, converged)
 
 
 def predict_iterations(spec: CirculantSpec, initial_deviation_norm: float, tol: float) -> int:
@@ -193,7 +198,7 @@ def predict_iterations(spec: CirculantSpec, initial_deviation_norm: float, tol: 
     ceil absorbs roundoff when the ratio lands exactly on an integer
     (tolerances that are exact powers of the factor).
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     factor = contraction_factor(spec)
     if not 0.0 < factor < 1.0:

@@ -11,17 +11,13 @@ files via --trace / --out.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import analyzer, circulant, emit, euclid, experiment, hyperbolic, spherical
-
-_TWO_PI = 2.0 * math.pi
 
 
 def _load_json(path):
@@ -66,37 +62,27 @@ def _cmd_regularize(args) -> int:
     if args.geometry == "plane":
         if args.k != 2:
             raise ValueError("plane regularization supports only k=2 (half-angle step)")
-        triangle = _plane_triangle(data)
-        center, radius, turn, gaps = euclid.circle_frame(triangle)
-        target = np.full(3, _TWO_PI / 3)
-        run = circulant.iterate(spherical.step_spec(3, 2), gaps, target, args.tol, args.max_iter)
-        history = run.steps
-        start = turn * cmath.phase(triangle.vertices[0] - center)
-        final = euclid.triangle_on_circle(
-            center, radius, euclid.vertex0_azimuths(start, history, 2)[-1], history[-1], turn
-        )
+        run, final = euclid.regularize(_plane_triangle(data), tol=args.tol, max_iter=args.max_iter)
         outcome = {"final": _complex_pairs(final.vertices)}
     elif args.geometry == "sphere":
         polygon = spherical.SphericalPolygon(_sphere_points(data))
-        run = spherical.regularize(polygon, k=args.k, tol=args.tol, max_iter=args.max_iter)
-        history = run.gap_history
-        target = np.full(polygon.n, _TWO_PI / polygon.n)
-        outcome = {"final": [list(map(float, v)) for v in run.final.vertices]}
+        result = spherical.regularize(polygon, k=args.k, tol=args.tol, max_iter=args.max_iter)
+        run = result.run
+        outcome = {"final": [list(map(float, v)) for v in result.final.vertices]}
     else:
         points = _float_array(data, (None,), "hyperbolic input must be a JSON array of numbers")
         boundary = hyperbolic.BoundaryPoints(tuple(points))
         if args.k != 2:
             raise ValueError("hyperbolic regularization has no k parameter (pair averaging)")
-        run = hyperbolic.regularize_hyperbolic(boundary, tol=args.tol, max_iter=args.max_iter)
-        history = run.gap_history
-        target = np.asarray(hyperbolic.limit_gaps(hyperbolic.gaps_from_points(boundary)).values)
+        result = hyperbolic.regularize_hyperbolic(boundary, tol=args.tol, max_iter=args.max_iter)
+        run = result.run
         outcome = {
-            "final_boundary": list(run.final.points),
-            "final_vertices": _complex_pairs(hyperbolic.polygon_from_boundary(run.final)),
+            "final_boundary": list(result.final.points),
+            "final_vertices": _complex_pairs(hyperbolic.polygon_from_boundary(result.final)),
         }
     if args.trace:
-        records = emit.trace_records(history, target)
-        emit.write_records(args.trace, records, emit.trace_columns(len(history[0])), args.format)
+        records = emit.trace_records(run.steps(), run.target)
+        emit.write_records(args.trace, records, emit.trace_columns(run.spec.n), args.format)
     _print_json(
         {"geometry": args.geometry, "converged": run.converged, "iterations": run.iterations, **outcome}
     )

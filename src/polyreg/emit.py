@@ -22,11 +22,12 @@ def trace_columns(width: int) -> list[str]:
     return ["iteration", "deviation_max", "deviation_l2"] + [f"v_{i}" for i in range(width)]
 
 
-def trace_records(gap_history, target) -> list[dict]:
-    """Per-iteration records: deviations against `target`, then the vector."""
+def trace_records(steps, target) -> list[dict]:
+    """Per-iteration records from any iterable of step vectors (a list, or a
+    run's replay): deviations against `target`, then the vector."""
     target = np.asarray(target, dtype=float)
     records = []
-    for iteration, vec in enumerate(gap_history):
+    for iteration, vec in enumerate(steps):
         vec = np.asarray(vec, dtype=float)
         dev = vec - target
         record = {

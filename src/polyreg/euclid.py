@@ -1,6 +1,6 @@
 """Euclidean baseline: the equilateral identity, the classical
 three-centers construction, circumcircles, and the half-angle rotation
-step about the circumcenter.
+run about the circumcenter.
 
 Points live in the complex plane; a triangle is an ordered triple.
 """
@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import circulant
 
 _SQRT3 = math.sqrt(3.0)
 _TWO_PI = 2.0 * math.pi
@@ -118,31 +120,18 @@ def circle_frame(t: PlaneTriangle) -> tuple[complex, float, int, np.ndarray]:
     return center, radius, turn, gaps if turn == 1 else _TWO_PI - gaps
 
 
-def rotate_half_step(t: PlaneTriangle) -> PlaneTriangle:
-    """Rotate each vertex about the circumcenter by half its ccw gap.
+def vertex0_azimuth(start: float, gaps0: np.ndarray, gaps: np.ndarray, steps: int, k: int) -> float:
+    """Azimuth of vertex 0 after `steps` rotation steps, in closed form.
 
-    The circumcircle is untouched while the gap vector transforms by the
-    (1/2, 1/2, 0) circulant, so iterating drives the triangle equilateral
-    with the gap deviation halving every step.
+    Each step turns every vertex about the fixed center by its own gap over
+    k, so the azimuth sum n*a_0 + sum_i (n-1-i)*g_i grows by sum(g)/k per
+    step.  Reading a_0 back off that sum needs only the first and last gap
+    vectors; the mean of their two sums stands in for the invariant sum(g)
+    and absorbs its rounding drift.  Shared by the plane and sphere decoders.
     """
-    _require_distinct(t)
-    center, _, gaps = angle_gaps(t)
-    z = t.vertices
-    rotated = tuple(
-        center + (z[j] - center) * cmath.exp(1j * gaps[j] / 2) for j in range(3)
-    )
-    return PlaneTriangle(rotated)
-
-
-def vertex0_azimuths(start: float, gap_history, k: int) -> np.ndarray:
-    """Azimuth of vertex 0 at every recorded step of a rotation run.
-
-    Each step turns vertex 0 about the fixed circle's center by its own
-    gap over k, so at step i it sits at start + sum_{t<i} gap_t[0] / k.
-    Shared by the plane and sphere decoders.
-    """
-    advances = np.array([g[0] for g in gap_history[:-1]], dtype=float) / k
-    return np.cumsum(np.concatenate(([start], advances)))
+    n = len(gaps)
+    turned = steps * (math.fsum(gaps0) + math.fsum(gaps)) / (2 * k)
+    return start + (turned - float(np.arange(n - 1, -1, -1) @ (gaps - gaps0))) / n
 
 
 def triangle_on_circle(center: complex, radius: float, start: float, gaps, turn) -> PlaneTriangle:
@@ -150,3 +139,22 @@ def triangle_on_circle(center: complex, radius: float, start: float, gaps, turn)
     every angle measured in the direction of turn (ccw for +1)."""
     az = turn * (start + np.concatenate(([0.0], np.cumsum(gaps[:-1]))))
     return PlaneTriangle(tuple(center + radius * cmath.exp(1j * a) for a in az))
+
+
+# Rotating each vertex by half its gap maps the gaps by the (1/2, 1/2, 0) circulant.
+_HALF_STEP = circulant.CirculantSpec((0.5, 0.5, 0.0))
+
+
+def regularize(t: PlaneTriangle, tol: float, max_iter: int) -> tuple[circulant.Run, PlaneTriangle]:
+    """Rotate every vertex about the circumcenter by half its gap until every
+    gap is within tol of 2*pi/3; returns the gap run and the final triangle.
+
+    The circumcircle never moves and the gap deviation halves every step,
+    so the triangle turns equilateral on its own circumcircle.
+    """
+    center, radius, turn, gaps = circle_frame(t)
+    run = circulant.iterate(_HALF_STEP, gaps, np.full(3, _TWO_PI / 3), tol, max_iter)
+    start = vertex0_azimuth(
+        turn * cmath.phase(t.vertices[0] - center), run.start, run.final, run.iterations, 2
+    )
+    return run, triangle_on_circle(center, radius, start, run.final, turn)

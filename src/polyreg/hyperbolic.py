@@ -248,21 +248,16 @@ def points_from_gaps(b: GapVector, start: float = 0.0) -> BoundaryPoints:
 
 
 def gap_step_spec(length: int) -> circulant.CirculantSpec:
-    """Circulant first row (1/2, 0, 1/2, 0, ..., 0) of the gap transform."""
+    """Circulant first row (1/2, 0, 1/2, 0, ..., 0) of the gap transform.
+
+    One step maps b_j to (b_j + b_{j+2}) / 2.  It preserves the total and
+    positivity; even- and odd-indexed gaps never mix, so the two parity
+    means are invariants of the iteration.
+    """
     coeffs = [0.0] * length
     coeffs[0] = 0.5
     coeffs[2] = 0.5
     return circulant.CirculantSpec(tuple(coeffs))
-
-
-def gap_step(b: GapVector) -> GapVector:
-    """One averaging step: b_j -> (b_j + b_{j+2}) / 2.
-
-    Preserves the total and positivity; even- and odd-indexed gaps never
-    mix, so the two parity means are invariants of the iteration.
-    """
-    out = circulant.apply(gap_step_spec(2 * b.n), np.asarray(b.values))
-    return GapVector(tuple(float(x) for x in out))
 
 
 def limit_gaps(b: GapVector) -> GapVector:
@@ -276,43 +271,48 @@ def limit_gaps(b: GapVector) -> GapVector:
 
 @dataclass(frozen=True)
 class HyperbolicRegularization:
-    """Gap trace of an averaging run; boundaries and vertices are decoded
-    on demand from the gaps and the fixed anchor, boundary point 0."""
+    """An averaging run; boundaries and vertices are decoded on demand from
+    the run's gaps and the fixed anchor, boundary point 0."""
 
     anchor: float
-    gap_history: tuple[np.ndarray, ...]
-    converged: bool
+    run: circulant.Run
 
     @property
     def iterations(self) -> int:
-        return len(self.gap_history) - 1
+        return self.run.iterations
+
+    @property
+    def converged(self) -> bool:
+        return self.run.converged
 
     def _decode(self, gaps: np.ndarray) -> BoundaryPoints:
         return points_from_gaps(GapVector(tuple(float(b) for b in gaps)), start=self.anchor)
 
     @property
     def boundaries(self) -> tuple[BoundaryPoints, ...]:
-        return tuple(self._decode(g) for g in self.gap_history)
+        """Every step's boundary points, replayed from the run."""
+        return tuple(self._decode(g) for g in self.run.steps())
 
     @property
     def final(self) -> BoundaryPoints:
-        return self._decode(self.gap_history[-1])
+        return self._decode(self.run.final)
 
     def polygons(self) -> list[list[complex]]:
-        """Materialized vertex lists, one per recorded step."""
+        """Materialized vertex lists, one per step."""
         return [polygon_from_boundary(bp) for bp in self.boundaries]
 
 
 def regularize_hyperbolic(bp: BoundaryPoints, tol: float, max_iter: int) -> HyperbolicRegularization:
-    """Iterate gap_step until within max-norm tol of the alternating limit.
+    """Average every boundary gap with its same-parity neighbour until
+    within max-norm tol of the alternating limit.
 
-    The first boundary point is kept as the anchor from which every
-    recorded gap vector is decoded back to boundary points.
+    The first boundary point is kept as the anchor from which the run's gap
+    vectors are decoded back to boundary points.
     """
     gaps = gaps_from_points(bp)
     limit = limit_gaps(gaps).values
-    trace = circulant.iterate(gap_step_spec(2 * bp.n), gaps.values, limit, tol, max_iter)
-    return HyperbolicRegularization(bp.points[0], trace.steps, trace.converged)
+    run = circulant.iterate(gap_step_spec(2 * bp.n), gaps.values, limit, tol, max_iter)
+    return HyperbolicRegularization(bp.points[0], run)
 
 
 def _measured_angles(bp: BoundaryPoints) -> list[float]:

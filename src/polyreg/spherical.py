@@ -220,8 +220,10 @@ def from_cyclic_frame(f: CyclicFrame, start_azimuth: float = 0.0) -> SphericalPo
 
 
 def step_spec(n: int, k: int) -> circulant.CirculantSpec:
-    """Circulant first row ((k-1)/k, 1/k, 0, ..., 0) driving step_k on gaps.
+    """Circulant first row ((k-1)/k, 1/k, 0, ..., 0) of the rotation step.
 
+    Rotating every vertex about the axis by its own gap over k leaves the
+    axis and circle untouched and maps gap_j to ((k-1)*gap_j + gap_{j+1}) / k.
     Only integer k >= 2 contracts the gap vector toward the regular one,
     smaller k is rejected.
     """
@@ -233,66 +235,57 @@ def step_spec(n: int, k: int) -> circulant.CirculantSpec:
     return circulant.CirculantSpec(tuple(coeffs))
 
 
-def step_k(f: CyclicFrame, k: int) -> CyclicFrame:
-    """One regularization step: gap_j becomes ((k-1)*gap_j + gap_{j+1}) / k.
-
-    Equivalent to rotating every vertex about the axis by its own gap over
-    k; the axis and circle are untouched.
-    """
-    gaps = circulant.apply(step_spec(f.n, k), f.gaps)
-    return CyclicFrame(axis=f.axis, cos_radius=f.cos_radius, gaps=gaps)
-
-
 @dataclass(frozen=True)
 class RegularizationResult:
-    """Gap trace of a regularization run, on one fixed circumcircle.
+    """A regularization run on one fixed circumcircle.
 
-    Polygons are decoded on demand from the recorded gaps and vertex 0's
-    start azimuth, so long traces stay cheap to produce.
+    Holds the gap run and vertex 0's start azimuth; polygons are decoded on
+    demand, vertex 0 in closed form, so a run keeps O(n) state.
     """
 
     axis: np.ndarray
     cos_radius: float
     start: float
     k: int
-    gap_history: tuple[np.ndarray, ...]
-    converged: bool
+    run: circulant.Run
 
     @property
     def iterations(self) -> int:
-        return len(self.gap_history) - 1
+        return self.run.iterations
 
-    def _decode(self, gaps: np.ndarray, start_azimuth: float) -> SphericalPolygon:
+    @property
+    def converged(self) -> bool:
+        return self.run.converged
+
+    def _decode(self, gaps: np.ndarray, steps: int) -> SphericalPolygon:
+        azimuth = euclid.vertex0_azimuth(self.start, self.run.start, gaps, steps, self.k)
         frame = CyclicFrame(axis=self.axis, cos_radius=self.cos_radius, gaps=gaps)
-        return from_cyclic_frame(frame, start_azimuth=float(start_azimuth))
+        return from_cyclic_frame(frame, start_azimuth=azimuth)
 
     @property
     def polygons(self) -> tuple[SphericalPolygon, ...]:
-        azimuths = euclid.vertex0_azimuths(self.start, self.gap_history, self.k)
-        return tuple(self._decode(g, a) for g, a in zip(self.gap_history, azimuths))
+        """Every step's polygon, replayed from the run."""
+        return tuple(self._decode(g, m) for m, g in enumerate(self.run.steps()))
 
     @property
     def final(self) -> SphericalPolygon:
-        azimuths = euclid.vertex0_azimuths(self.start, self.gap_history, self.k)
-        return self._decode(self.gap_history[-1], azimuths[-1])
+        return self._decode(self.run.final, self.run.iterations)
 
 
 def regularize(p: SphericalPolygon, k: int, tol: float, max_iter: int) -> RegularizationResult:
-    """Iterate step_k's gap transform until every gap is within tol of 2*pi/n.
+    """Rotate every vertex by its own gap over k until every gap is within
+    tol of 2*pi/n.
 
-    The axis and the vertex-to-axis dots stay fixed over the whole trace;
-    vertex 0 advances by gap_0/k per step, matching the vertex-rotation
-    picture exactly.  Raises NotCyclicError for inputs without a shared
-    axis (fit and project those first).
+    The axis and the vertex-to-axis dots stay fixed over the whole run;
+    only the gaps are iterated, through step_spec.  Raises NotCyclicError
+    for inputs without a shared axis (fit and project those first).
     """
     spec = step_spec(p.n, k)
     frame = to_cyclic_frame(p)
     e1, e2 = _complete_frame(frame.axis)
     start = math.atan2(float(p.vertices[0] @ e2), float(p.vertices[0] @ e1))
-    trace = circulant.iterate(spec, frame.gaps, np.full(p.n, _TWO_PI / p.n), tol, max_iter)
-    return RegularizationResult(
-        frame.axis, frame.cos_radius, start, int(k), trace.steps, trace.converged
-    )
+    run = circulant.iterate(spec, frame.gaps, np.full(p.n, _TWO_PI / p.n), tol, max_iter)
+    return RegularizationResult(frame.axis, frame.cos_radius, start, int(k), run)
 
 
 def fit_small_circle(points) -> tuple[np.ndarray, float]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,12 +190,11 @@ class TestApply:
             )
 
     def test_mean_coefficient_preserved(self):
+        # the Fourier coefficient at index 0 is the entrywise mean
         rng = np.random.default_rng(9)
         spec = ngon_spec(6, 4)
         v = rng.normal(size=6)
-        assert circulant.mean_coefficient(circulant.apply(spec, v)) == pytest.approx(
-            circulant.mean_coefficient(v), rel=1e-12
-        )
+        assert math.fsum(circulant.apply(spec, v)) / 6 == pytest.approx(math.fsum(v) / 6, rel=1e-12)
 
 
 class TestFixedSpaceLimit:
@@ -260,77 +260,65 @@ class TestContractionFactor:
         assert circulant.contraction_factor(CirculantSpec((1.0, 0.0, 0.0))) == 0.0
 
 
-class TestMeanCoefficient:
-    def test_uniform(self):
-        assert circulant.mean_coefficient([1 / 3, 1 / 3, 1 / 3]) == pytest.approx(1 / 3, abs=1e-16)
-
-    def test_hand_sum(self):
-        assert circulant.mean_coefficient([0.3, 0.1, 0.2, 0.1, 0.2, 0.1]) == pytest.approx(
-            1 / 6, abs=1e-15
-        )
-
-    def test_nonzero_whenever_sum_is_one(self):
-        rng = np.random.default_rng(5)
-        for n in (3, 6, 9):
-            v = rng.dirichlet(np.ones(n))
-            assert circulant.mean_coefficient(v) == pytest.approx(1 / n, rel=1e-12)
-            assert circulant.mean_coefficient(v) != 0.0
-
-
 class TestIterateUntil:
     def test_zero_iterations_at_target(self):
         v = [1 / 3, 1 / 3, 1 / 3]
-        trace = circulant.iterate_until(METHOD1, v, v, tol=1e-9, max_iter=10)
-        assert trace.converged and trace.iterations == 0
-        assert len(trace.steps) == 1
+        run = circulant.iterate(METHOD1, v, v, tol=1e-9, max_iter=10)
+        assert run.converged and run.iterations == 0
+        assert len(list(run.steps())) == 1
+        assert np.array_equal(run.final, v)
 
     def test_exact_halving(self):
         v0 = np.array([0.5, 0.25, 0.25])
         target = np.full(3, 1 / 3)
-        trace = circulant.iterate_until(METHOD1, v0, target, tol=1e-6, max_iter=100)
-        assert trace.converged
+        run = circulant.iterate(METHOD1, v0, target, tol=1e-6, max_iter=100)
+        assert run.converged
+        steps = list(run.steps())
         mat = METHOD1.as_matrix()
         power = v0.copy()
-        for step in trace.steps[1:]:
+        for step in steps[1:]:
             power = mat @ power
             assert np.allclose(step, power, atol=1e-14)
-        norms = [np.linalg.norm(s - target) for s in trace.steps]
+        norms = [np.linalg.norm(s - target) for s in steps]
         for before, after in zip(norms, norms[1:]):
             assert after == pytest.approx(before / 2, rel=1e-12)
         predicted = circulant.predict_iterations(METHOD1, norms[0], 1e-6)
-        assert trace.iterations <= predicted + 2
+        assert run.iterations <= predicted + 2
 
     def test_steps_chain_by_apply(self):
-        trace = circulant.iterate_until(
-            SKIP6, [0.3, 0.1, 0.2, 0.1, 0.2, 0.1], np.full(6, 1 / 6), tol=1e-12, max_iter=7
-        )
-        for before, after in zip(trace.steps, trace.steps[1:]):
-            assert np.allclose(circulant.apply(SKIP6, before), after, atol=1e-15)
-        rng = np.random.default_rng(17)
-        dense = CirculantSpec(tuple(rng.dirichlet(np.ones(64))))
-        for spec in (dense, INTERIOR_ZERO):
-            v0 = rng.normal(size=spec.n)
-            trace = circulant.iterate_until(
-                spec, v0, np.full(spec.n, np.mean(v0)), tol=1e-12, max_iter=7
-            )
-            assert len(trace.steps) > 1
-            for before, after in zip(trace.steps, trace.steps[1:]):
+        # the replay repeats the run's arithmetic, so it equals a chain of
+        # apply() bit for bit, and both agree with the dense matrix product
+        dense = CirculantSpec(tuple(np.random.default_rng(17).dirichlet(np.ones(64))))
+        for spec in (SKIP6, INTERIOR_ZERO, dense, spherical.step_spec(3, 2),
+                     spherical.step_spec(64, 5), hyperbolic.gap_step_spec(10)):
+            v0 = np.random.default_rng(spec.n).normal(size=spec.n)
+            run = circulant.iterate(spec, v0, np.full(spec.n, np.mean(v0)), tol=1e-12, max_iter=40)
+            steps = list(run.steps())
+            assert len(steps) == run.iterations + 1 > 1
+            assert np.array_equal(steps[0], v0)
+            assert np.array_equal(steps[-1], run.final)
+            for before, after in zip(steps, steps[1:]):
+                assert np.array_equal(circulant.apply(spec, before), after)
                 assert np.allclose(spec.as_matrix() @ before, after, atol=1e-14)
+            assert all(np.array_equal(a, b) for a, b in zip(run.steps(), steps))
 
     def test_no_contraction_never_converges(self):
         shift = CirculantSpec((0.0, 1.0, 0.0))
-        trace = circulant.iterate_until(
-            shift, [1.0, 2.0, 3.0], [2.0, 2.0, 2.0], tol=1e-9, max_iter=25
-        )
-        assert not trace.converged and trace.iterations == 25
+        run = circulant.iterate(shift, [1.0, 2.0, 3.0], [2.0, 2.0, 2.0], tol=1e-9, max_iter=25)
+        assert not run.converged and run.iterations == 25
+        # a fractional cap stops at the first count reaching it
+        run = circulant.iterate(shift, [1.0, 2.0, 3.0], [2.0, 2.0, 2.0], tol=1e-9, max_iter=2.5)
+        assert not run.converged and run.iterations == 3
 
     def test_rejects_bad_arguments(self):
+        for tol in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                circulant.iterate(METHOD1, [1, 2, 3], [1, 2, 3], tol=tol, max_iter=5)
+        for max_iter in (-1, math.nan):
+            with pytest.raises(ValueError):
+                circulant.iterate(METHOD1, [1, 2, 3], [1, 2, 3], tol=1e-9, max_iter=max_iter)
         with pytest.raises(ValueError):
-            circulant.iterate_until(METHOD1, [1, 2, 3], [1, 2, 3], tol=0.0, max_iter=5)
-        with pytest.raises(ValueError):
-            circulant.iterate_until(METHOD1, [1, 2, 3], [1, 2, 3], tol=1e-9, max_iter=0)
-        with pytest.raises(ValueError):
-            circulant.iterate_until(METHOD1, [1, 2], [1, 2, 3], tol=1e-9, max_iter=5)
+            circulant.iterate(METHOD1, [1, 2], [1, 2, 3], tol=1e-9, max_iter=5)
 
 
 class TestPredictIterations:
@@ -347,6 +335,11 @@ class TestPredictIterations:
         with pytest.raises(NonContractingError):
             circulant.predict_iterations(CirculantSpec((0.0, 1.0, 0.0)), 1.0, 1e-3)
 
+    def test_rejects_bad_tolerance(self):
+        for tol in (0.0, -1e-3, math.nan):
+            with pytest.raises(ValueError, match="tol"):
+                circulant.predict_iterations(METHOD1, 1.0, tol)
+
     def test_bound_is_sufficient(self):
         rng = np.random.default_rng(11)
         for n, k in ((3, 2), (5, 3), (8, 4), (64, 2)):
@@ -354,8 +347,8 @@ class TestPredictIterations:
             v = rng.dirichlet(np.ones(n))
             target = np.full(n, 1 / n)
             predicted = circulant.predict_iterations(spec, float(np.linalg.norm(v - target)), 1e-9)
-            trace = circulant.iterate_until(spec, v, target, tol=1e-9, max_iter=predicted + 2)
-            assert trace.converged
+            run = circulant.iterate(spec, v, target, tol=1e-9, max_iter=predicted + 2)
+            assert run.converged
 
 
 class TestExactDecayTriangle:
@@ -385,6 +378,35 @@ class TestLargeN:
         assert circulant.predict_iterations(spec, 1.0, 1e-9) == math.ceil(
             math.log(1e-9) / math.log(factor) - 1e-12
         )
+
+
+def sphere_run_64():
+    az = np.sort(np.random.default_rng(0).uniform(0.0, 2 * math.pi, 64))
+    gaps = np.diff(np.append(az, az[0] + 2 * math.pi))
+    frame = spherical.CyclicFrame(axis=np.array([0.0, 0.0, 1.0]), cos_radius=0.3, gaps=gaps)
+    return spherical.regularize(spherical.from_cyclic_frame(frame), k=2, tol=1e-9, max_iter=10**6)
+
+
+def hyperbolic_run_51():
+    points = np.sort(np.random.default_rng(2).random(102))
+    return hyperbolic.regularize_hyperbolic(hyperbolic.BoundaryPoints(tuple(points)), tol=1e-9,
+                                            max_iter=10**6)
+
+
+class TestRunMemory:
+    @pytest.mark.parametrize("regularize, steps", [(sphere_run_64, 13288), (hyperbolic_run_51, 7793)],
+                             ids=["sphere", "hyperbolic"])
+    def test_long_run_keeps_o_n_state(self, regularize, steps):
+        # keeping every gap vector would take about 8 MB here
+        tracemalloc.start()
+        try:
+            result = regularize()
+            result.final
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.converged and result.iterations == steps
+        assert peak < 1_000_000
 
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)

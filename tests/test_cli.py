@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from polyreg import cli, emit, euclid
+from polyreg import circulant, cli, emit, euclid, hyperbolic, spherical
 from polyreg.euclid import PlaneTriangle
 
 
@@ -166,9 +166,12 @@ SPHERE_TRIANGLE = [[0.6, 0.0, 0.8], [-0.6, 0.0, 0.8], [0.0, -0.6, 0.8]]
         (TRIANGLE, ["regularize", "--max-iter", "-1", "--geometry", "plane", "--input"]),
         (SPHERE_TRIANGLE, ["regularize", "--max-iter", "-1", "--geometry", "sphere", "--input"]),
         (HEXAGON, ["regularize", "--max-iter", "-1", "--geometry", "hyperbolic", "--input"]),
+        (TRIANGLE, ["regularize", "--tol", "nan", "--geometry", "plane", "--input"]),
+        (HEXAGON, ["regularize", "--tol", "nan", "--geometry", "hyperbolic", "--input"]),
     ],
     ids=["plane-column", "napoleon-column", "hyperbolic-column", "eigen-nested",
-         "analyze-object", "plane-max-iter", "sphere-max-iter", "hyperbolic-max-iter"],
+         "analyze-object", "plane-max-iter", "sphere-max-iter", "hyperbolic-max-iter",
+         "plane-tol-nan", "hyperbolic-tol-nan"],
 )
 def test_malformed_input_exits_2_with_error(capsys, tmp_path, payload, argv):
     code = cli.main(argv + [write_json(tmp_path / "in.json", payload)])
@@ -273,10 +276,32 @@ class TestDeterminism:
         assert run_cli(capsys, *args, "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_trace_byte_identical(self, capsys, tmp_path):
-        inp = write_json(tmp_path / "h.json", [0.0, 0.3, 0.4, 0.6, 0.7, 0.9])
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        base = ["regularize", "--geometry", "hyperbolic", "--input", inp, "--tol", "1e-9"]
-        assert run_cli(capsys, *base, "--trace", str(a))[0] == 0
+    @pytest.mark.parametrize(
+        "geometry, payload",
+        [("plane", TRIANGLE), ("sphere", SPHERE_TRIANGLE), ("hyperbolic", HEXAGON)],
+        ids=["plane", "sphere", "hyperbolic"],
+    )
+    def test_trace_byte_identical(self, capsys, tmp_path, geometry, payload):
+        inp = write_json(tmp_path / "in.json", payload)
+        a, b, direct = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "direct.csv"
+        base = ["regularize", "--geometry", geometry, "--input", inp, "--tol", "1e-9"]
+        code, out = run_cli(capsys, *base, "--trace", str(a))
+        assert code == 0
         assert run_cli(capsys, *base, "--trace", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
+        # the replayed trace equals a direct chain of circulant.apply
+        if geometry == "plane":
+            gaps = euclid.circle_frame(PlaneTriangle(tuple(complex(x, y) for x, y in payload)))[3]
+            spec, target = spherical.step_spec(3, 2), np.full(3, 2 * math.pi / 3)
+        elif geometry == "sphere":
+            gaps = spherical.to_cyclic_frame(spherical.SphericalPolygon(payload)).gaps
+            spec, target = spherical.step_spec(3, 2), np.full(3, 2 * math.pi / 3)
+        else:
+            vector = hyperbolic.gaps_from_points(hyperbolic.BoundaryPoints(tuple(payload)))
+            gaps, spec = np.asarray(vector.values), hyperbolic.gap_step_spec(6)
+            target = hyperbolic.limit_gaps(vector).values
+        steps = [gaps]
+        for _ in range(json.loads(out)["iterations"]):
+            steps.append(circulant.apply(spec, steps[-1]))
+        emit.write_records(direct, emit.trace_records(steps, target), emit.trace_columns(len(gaps)))
+        assert a.read_bytes() == direct.read_bytes()

@@ -15,6 +15,21 @@ def triangle_from_azimuths(azimuths, center=0j, radius=1.0):
     return PlaneTriangle(tuple(center + radius * cmath.exp(1j * a) for a in azimuths))
 
 
+def rotate_half_step(t):
+    """Reference: rotate each vertex about the circumcenter by half its ccw gap.
+
+    The geometric step the plane run's (1/2, 1/2, 0) gap circulant stands
+    for; the circumcircle is untouched while the gap deviation halves.
+    """
+    center, _, gaps = euclid.angle_gaps(t)
+    z = t.vertices
+    return PlaneTriangle(tuple(center + (z[j] - center) * cmath.exp(1j * gaps[j] / 2) for j in range(3)))
+
+
+def mirror(t):
+    return PlaneTriangle(tuple(z.conjugate() for z in t.vertices))
+
+
 class TestEquilateralDefect:
     def test_roots_of_unity(self):
         t = PlaneTriangle((1, OMEGA, OMEGA**2))
@@ -109,7 +124,7 @@ class TestCircumcenter:
 class TestRotateHalfStep:
     def test_equilateral_advances_by_sixth_turn(self):
         t = triangle_from_azimuths((0.2, 0.2 + 2 * math.pi / 3, 0.2 + 4 * math.pi / 3))
-        rotated = euclid.rotate_half_step(t)
+        rotated = rotate_half_step(t)
         for old, new in zip(t.vertices, rotated.vertices):
             assert new == pytest.approx(old * cmath.exp(1j * math.pi / 3), abs=1e-12)
         _, _, gaps = euclid.angle_gaps(rotated)
@@ -117,7 +132,7 @@ class TestRotateHalfStep:
 
     def test_gap_transform_hand_example(self):
         t = triangle_from_azimuths((0.0, math.pi, 1.5 * math.pi))
-        rotated = euclid.rotate_half_step(t)
+        rotated = rotate_half_step(t)
         _, _, gaps = euclid.angle_gaps(rotated)
         assert np.allclose(gaps, [0.75 * math.pi, 0.5 * math.pi, 0.75 * math.pi], atol=1e-12)
 
@@ -128,7 +143,7 @@ class TestRotateHalfStep:
         target = np.full(3, 2 * math.pi / 3)
         for _ in range(12):
             before = np.linalg.norm(gaps - target)
-            t = euclid.rotate_half_step(t)
+            t = rotate_half_step(t)
             _, _, new_gaps = euclid.angle_gaps(t)
             assert np.allclose(new_gaps, circulant.apply(spec, gaps), atol=1e-10)
             after = np.linalg.norm(new_gaps - target)
@@ -144,7 +159,7 @@ class TestRotateHalfStep:
                 center, radius, gaps = euclid.angle_gaps(t)
             except DegenerateTriangleError:
                 continue
-            rotated = euclid.rotate_half_step(t)
+            rotated = rotate_half_step(t)
             for z in rotated.vertices:
                 assert abs(abs(z - center) - radius) <= 1e-12 * max(radius, 1.0)
             _, _, new_gaps = euclid.angle_gaps(rotated)
@@ -152,4 +167,72 @@ class TestRotateHalfStep:
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateTriangleError):
-            euclid.rotate_half_step(PlaneTriangle((0, 1, 2)))
+            euclid.regularize(PlaneTriangle((0, 1, 2)), tol=1e-9, max_iter=10)
+
+
+# On converging runs the closed form stays within about 3e-12 of exactly
+# summed advances (n=64, k 2..5, up to 3e4 steps); the bound is fixed far
+# above that.
+DECODE_TOL = 1e-9
+
+
+class TestPlaneRun:
+    @pytest.mark.parametrize(
+        "vertices, tol, max_iter",
+        [
+            ((0, 1, 1j), 1e-9, 200),
+            ((0, 1j, 1), 1e-9, 200),
+            ((0.3 + 0.1j, -2.0 + 0.5j, 0.7 - 1.9j), 1e-12, 200),
+            ((5 + 5j, 5.001 + 5j, 4 + 6j), 1e-300, 3000),
+            ((5 + 5j, 4 + 6j, 5.001 + 5j), 1e-300, 3000),
+        ],
+        ids=["ccw", "cw", "scalene", "thin-capped", "thin-cw-capped"],
+    )
+    def test_matches_geometric_rotation(self, vertices, tol, max_iter):
+        # a clockwise triangle turns clockwise: it is the mirror image of
+        # the run on its counter-clockwise mirror image
+        t = PlaneTriangle(vertices)
+        run, final = euclid.regularize(t, tol=tol, max_iter=max_iter)
+        turn = euclid.circle_frame(t)[2]
+        stepped = t if turn == 1 else mirror(t)
+        for _ in range(run.iterations):
+            stepped = rotate_half_step(stepped)
+        stepped = stepped if turn == 1 else mirror(stepped)
+        assert run.converged or run.iterations == max_iter
+        _, radius = euclid.circumcenter(t)
+        for got, want in zip(final.vertices, stepped.vertices):
+            assert abs(got - want) <= DECODE_TOL * radius
+
+    def test_gap_run_is_the_half_step_circulant(self):
+        t = PlaneTriangle((0, 1, 1j))
+        run, _ = euclid.regularize(t, tol=1e-9, max_iter=200)
+        assert run.spec.coeffs == (0.5, 0.5, 0.0)
+        assert np.array_equal(run.target, np.full(3, 2 * math.pi / 3))
+        assert np.array_equal(run.start, euclid.angle_gaps(t)[2])
+
+
+class TestVertex0Azimuth:
+    def test_zero_steps_returns_start(self):
+        gaps = np.array([1.0, 2.0, 2 * math.pi - 3.0])
+        assert euclid.vertex0_azimuth(0.7, gaps, gaps, 0, 3) == 0.7
+
+    def test_one_step_advances_by_gap_over_k(self):
+        gaps = np.array([1.0, 2.0, 2 * math.pi - 3.0])
+        stepped = circulant.apply(circulant.CirculantSpec((0.8, 0.2, 0.0)), gaps)
+        assert euclid.vertex0_azimuth(0.7, gaps, stepped, 1, 5) == pytest.approx(0.7 + 0.2, abs=1e-15)
+
+    @pytest.mark.parametrize("n, k", [(3, 2), (3, 5), (64, 2), (64, 3), (64, 5)])
+    def test_matches_summed_advances(self, n, k):
+        # vertex 0 turns by gap_0 / k per step; sum those advances exactly
+        gaps = np.random.default_rng(n + k).dirichlet(np.ones(n)) * 2 * math.pi
+        coeffs = [0.0] * n
+        coeffs[0], coeffs[1] = (k - 1) / k, 1 / k
+        run = circulant.iterate(circulant.CirculantSpec(tuple(coeffs)), gaps,
+                                np.full(n, 2 * math.pi / n), tol=1e-12, max_iter=30000)
+        assert run.iterations >= 20
+        advances = []
+        for m, g in enumerate(run.steps()):
+            if m % 997 == 0 or m == run.iterations:
+                want = 0.25 + math.fsum(advances)
+                assert abs(euclid.vertex0_azimuth(0.25, gaps, g, m, k) - want) <= DECODE_TOL
+            advances.append(g[0] / k)

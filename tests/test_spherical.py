@@ -152,36 +152,38 @@ class TestCyclicFrame:
 
 class TestStepK:
     def test_half_step_hand_example(self):
-        frame = CyclicFrame(axis=E3, cos_radius=0.5, gaps=np.array([math.pi, math.pi / 2, math.pi / 2]))
-        stepped = spherical.step_k(frame, 2)
-        assert np.allclose(stepped.gaps, [0.75 * math.pi, 0.5 * math.pi, 0.75 * math.pi], atol=1e-15)
+        stepped = circulant.apply(spherical.step_spec(3, 2), [math.pi, math.pi / 2, math.pi / 2])
+        assert np.allclose(stepped, [0.75 * math.pi, 0.5 * math.pi, 0.75 * math.pi], atol=1e-15)
 
     def test_third_step_hand_example(self):
-        frame = CyclicFrame(axis=E3, cos_radius=0.5, gaps=np.array([math.pi, math.pi / 2, math.pi / 2]))
-        stepped = spherical.step_k(frame, 3)
-        assert np.allclose(
-            stepped.gaps, [5 * math.pi / 6, math.pi / 2, 2 * math.pi / 3], atol=1e-15
-        )
+        stepped = circulant.apply(spherical.step_spec(3, 3), [math.pi, math.pi / 2, math.pi / 2])
+        assert np.allclose(stepped, [5 * math.pi / 6, math.pi / 2, 2 * math.pi / 3], atol=1e-15)
 
     def test_regular_gaps_fixed(self):
-        frame = CyclicFrame(axis=E3, cos_radius=-0.2, gaps=np.full(4, math.pi / 2))
-        stepped = spherical.step_k(frame, 5)
-        assert np.allclose(stepped.gaps, frame.gaps, atol=1e-15)
-        assert np.allclose(stepped.axis, frame.axis)
-        assert stepped.cos_radius == frame.cos_radius
+        gaps = np.full(4, math.pi / 2)
+        assert np.allclose(circulant.apply(spherical.step_spec(4, 5), gaps), gaps, atol=1e-15)
 
     def test_rejects_small_k(self):
-        frame = CyclicFrame(axis=E3, cos_radius=0.1, gaps=np.full(3, TWO_PI / 3))
-        with pytest.raises(ValueError):
-            spherical.step_k(frame, 1)
+        for k in (1, 0, 2.5):
+            with pytest.raises(ValueError):
+                spherical.step_spec(3, k)
 
     def test_preserves_sum_and_frame(self):
         rng = np.random.default_rng(17)
         frame = CyclicFrame(axis=spherical.unit_vector([1, 1, 1]),
                             cos_radius=0.3,
                             gaps=random_gaps(rng, 6))
-        stepped = spherical.step_k(frame, 4)
-        assert math.fsum(stepped.gaps) == pytest.approx(TWO_PI, abs=1e-10)
+        stepped = circulant.apply(spherical.step_spec(6, 4), frame.gaps)
+        assert math.fsum(stepped) == pytest.approx(TWO_PI, abs=1e-10)
+        result = spherical.regularize(spherical.from_cyclic_frame(frame), k=4, tol=1e-9, max_iter=1)
+        assert np.allclose(result.axis, frame.axis, atol=1e-12)
+        assert result.cos_radius == pytest.approx(frame.cos_radius, abs=1e-12)
+        assert np.allclose(result.final.vertices @ frame.axis, frame.cos_radius, atol=1e-12)
+
+
+# The closed-form vertex 0 stays within about 5e-12 of step-by-step
+# rotation on these runs (up to 2.1e4 steps); the bound is fixed far above.
+DECODE_TOL = 1e-9
 
 
 class TestRegularize:
@@ -200,19 +202,42 @@ class TestRegularize:
         result = spherical.regularize(poly, k=2, tol=1e-6, max_iter=100)
         assert result.converged
         target = TWO_PI / 3
-        norms = [np.linalg.norm(g - target) for g in result.gap_history]
+        steps = list(result.run.steps())
+        norms = [np.linalg.norm(g - target) for g in steps]
         for before, after in zip(norms, norms[1:]):
             assert after == pytest.approx(before / 2, rel=1e-9)
-        trace = circulant.iterate_until(
-            spherical.step_spec(3, 2),
-            result.gap_history[0],
-            np.full(3, target),
-            tol=1e-6,
-            max_iter=100,
-        )
-        assert trace.iterations == result.iterations
-        for mine, engine in zip(result.gap_history, trace.steps):
-            assert np.allclose(mine, engine, atol=1e-12)
+        gaps = spherical.to_cyclic_frame(poly).gaps
+        for mine in steps:
+            assert np.array_equal(mine, gaps)
+            gaps = circulant.apply(spherical.step_spec(3, 2), gaps)
+        assert np.max(np.abs(steps[-1] - target)) < 1e-6 <= np.max(np.abs(steps[-2] - target))
+
+    @pytest.mark.parametrize("n, k", [(3, 2), (5, 3), (7, 5), (64, 2), (64, 3), (64, 5)])
+    def test_matches_geometric_rotation(self, n, k):
+        # rotate the input's vertices about the axis, every one by its own
+        # gap over k per step: vertex 0 step by step, the others by their
+        # summed angle; the run decodes to the same polygon
+        az = np.sort(np.random.default_rng(n * k).uniform(0.0, TWO_PI, n))
+        axis = spherical.unit_vector([0.3, -0.5, 0.8])
+        poly = ring_polygon(axis, 0.9, az)
+        result = spherical.regularize(poly, k=k, tol=1e-9, max_iter=10**5)
+        assert result.converged
+        vertex0 = poly.vertices[0]
+        turned = np.zeros(n)
+        steps = list(result.run.steps())
+        for gaps in steps[:-1]:
+            vertex0 = spherical.rotation_about_axis(axis, gaps[0] / k) @ vertex0
+            turned += gaps / k
+        final = result.final.vertices
+        assert np.max(np.abs(final[0] - vertex0)) <= DECODE_TOL
+        for j in range(n):
+            want = spherical.rotation_about_axis(axis, turned[j]) @ poly.vertices[j]
+            assert np.max(np.abs(final[j] - want)) <= DECODE_TOL
+        if result.iterations <= 400:
+            vertex0 = poly.vertices[0]
+            for gaps, polygon in zip(steps, result.polygons):
+                assert np.max(np.abs(polygon.vertices[0] - vertex0)) <= DECODE_TOL
+                vertex0 = spherical.rotation_about_axis(axis, gaps[0] / k) @ vertex0
 
     def test_square_converges_within_prediction(self):
         gaps = np.array([2.5, 1.5, 1.5, TWO_PI - 5.5])
