@@ -1,7 +1,8 @@
 """CSV and JSON writers with byte-stable output.
 
-Floats are rendered with repr (shortest round-trip form), so identical
-data always produces identical bytes.
+csv and json both render a float, numpy float64 included, with float's
+repr (shortest round-trip form), so identical data always produces
+identical bytes.
 """
 
 from __future__ import annotations
@@ -57,14 +58,8 @@ def write_records(path, records: list[dict], columns: list[str], fmt: str = "csv
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
         for record in records:
-            writer.writerow([_cell(record[c]) for c in columns])
+            writer.writerow([record[c] for c in columns])
 
 
 def write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def _cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value

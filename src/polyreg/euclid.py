@@ -1,6 +1,7 @@
 """Euclidean baseline: the equilateral identity, the classical
-three-centers construction, circumcircles, and the half-angle rotation
-run about the circumcenter.
+three-centers construction, circumcircles, the half-angle rotation run
+about the circumcenter, and the positions<->gaps codec that the plane,
+sphere and disk share.
 
 Points live in the complex plane; a triangle is an ordered triple.
 """
@@ -97,6 +98,22 @@ def circumcenter(t: PlaneTriangle) -> tuple[complex, float]:
     return center, radius
 
 
+def cyclic_gaps(positions, period: float = _TWO_PI) -> np.ndarray:
+    """Gaps from each position to the next, the last back to the first,
+    each taken modulo period; positions that wind once forward give gaps
+    summing to period."""
+    p = np.asarray(positions, dtype=float)
+    return np.mod(np.concatenate((p[1:], p[:1])) - p, period)
+
+
+def positions_from_gaps(start: float, gaps) -> np.ndarray:
+    """Inverse of cyclic_gaps: start, then start plus each running gap sum.
+
+    The last gap closes the cycle and is implied by the others.
+    """
+    return start + np.concatenate(([0.0], np.cumsum(gaps[:-1])))
+
+
 def angle_gaps(t: PlaneTriangle) -> tuple[complex, float, np.ndarray]:
     """Circumcenter, radius, and ccw gaps from z_j to z_{j+1} about the center.
 
@@ -104,12 +121,7 @@ def angle_gaps(t: PlaneTriangle) -> tuple[complex, float, np.ndarray]:
     gaps sum to 2*pi.
     """
     center, radius = circumcenter(t)
-    z = t.vertices
-    gaps = np.empty(3)
-    for j in range(3):
-        ratio = (z[(j + 1) % 3] - center) / (z[j] - center)
-        gaps[j] = cmath.phase(ratio) % _TWO_PI
-    return center, radius, gaps
+    return center, radius, cyclic_gaps([cmath.phase(z - center) for z in t.vertices])
 
 
 def circle_frame(t: PlaneTriangle) -> tuple[complex, float, int, np.ndarray]:
@@ -137,7 +149,7 @@ def vertex0_azimuth(start: float, gaps0: np.ndarray, gaps: np.ndarray, steps: in
 def triangle_on_circle(center: complex, radius: float, start: float, gaps, turn) -> PlaneTriangle:
     """Inverse of circle_frame: vertex 0 at azimuth start, the rest by gaps,
     every angle measured in the direction of turn (ccw for +1)."""
-    az = turn * (start + np.concatenate(([0.0], np.cumsum(gaps[:-1]))))
+    az = turn * positions_from_gaps(start, gaps)
     return PlaneTriangle(tuple(center + radius * cmath.exp(1j * a) for a in az))
 
 

@@ -38,8 +38,8 @@ class BoundaryPoints:
             raise ValueError("need an even number of boundary points, at least six")
         if not all(0.0 <= p < 1.0 for p in pts):
             raise ValueError("boundary parameters must lie in [0, 1)")
-        gaps = [(pts[(j + 1) % len(pts)] - pts[j]) % 1.0 for j in range(len(pts))]
-        if min(gaps) <= 0.0:
+        gaps = euclid.cyclic_gaps(pts, 1.0)
+        if gaps.min() <= 0.0:
             raise ValueError("boundary points must be pairwise distinct")
         if abs(math.fsum(gaps) - 1.0) > 1e-9:
             raise ValueError("boundary points must be cyclically increasing")
@@ -48,27 +48,6 @@ class BoundaryPoints:
     @property
     def n(self) -> int:
         return len(self.points) // 2
-
-
-@dataclass(frozen=True)
-class GapVector:
-    """2n non-negative gaps between consecutive boundary points, summing to 1."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        vals = tuple(float(b) for b in self.values)
-        if len(vals) < 6 or len(vals) % 2 != 0:
-            raise ValueError("need an even number of gaps, at least six")
-        if min(vals) < 0.0:
-            raise ValueError("gaps must be non-negative")
-        if abs(math.fsum(vals) - 1.0) > 1e-12:
-            raise ValueError("gaps must sum to 1")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n(self) -> int:
-        return len(self.values) // 2
 
 
 @dataclass(frozen=True)
@@ -232,19 +211,16 @@ def polygon_from_boundary(bp: BoundaryPoints) -> list[complex]:
     return [intersect(geos[i], geos[(i + 1) % n]) for i in range(n)]
 
 
-def gaps_from_points(bp: BoundaryPoints) -> GapVector:
-    """Cyclic differences of consecutive boundary parameters."""
-    pts = bp.points
-    m = len(pts)
-    return GapVector(tuple((pts[(j + 1) % m] - pts[j]) % 1.0 for j in range(m)))
+def gaps_from_points(bp: BoundaryPoints) -> np.ndarray:
+    """The 2n gaps between consecutive boundary parameters; they sum to 1."""
+    return euclid.cyclic_gaps(bp.points, 1.0)
 
 
-def points_from_gaps(b: GapVector, start: float = 0.0) -> BoundaryPoints:
+def points_from_gaps(gaps: np.ndarray, start: float = 0.0) -> BoundaryPoints:
     """Accumulate gaps from an anchor; inverse of gaps_from_points at start."""
-    if min(b.values) <= 0.0:
+    if gaps.min() <= 0.0:
         raise ValueError("gaps must be strictly positive to place boundary points")
-    positions = (start + np.concatenate(([0.0], np.cumsum(b.values[:-1])))) % 1.0
-    return BoundaryPoints(tuple(float(p) for p in positions))
+    return BoundaryPoints(tuple(np.mod(euclid.positions_from_gaps(start, gaps), 1.0)))
 
 
 def gap_step_spec(length: int) -> circulant.CirculantSpec:
@@ -260,13 +236,12 @@ def gap_step_spec(length: int) -> circulant.CirculantSpec:
     return circulant.CirculantSpec(tuple(coeffs))
 
 
-def limit_gaps(b: GapVector) -> GapVector:
+def limit_gaps(gaps: np.ndarray) -> np.ndarray:
     """Limit of the iterated averaging: parity means in alternation."""
-    arr = np.asarray(b.values)
-    out = np.empty_like(arr)
-    out[0::2] = arr[0::2].mean()
-    out[1::2] = arr[1::2].mean()
-    return GapVector(tuple(float(x) for x in out))
+    out = np.empty_like(gaps)
+    out[0::2] = gaps[0::2].mean()
+    out[1::2] = gaps[1::2].mean()
+    return out
 
 
 @dataclass(frozen=True)
@@ -285,17 +260,14 @@ class HyperbolicRegularization:
     def converged(self) -> bool:
         return self.run.converged
 
-    def _decode(self, gaps: np.ndarray) -> BoundaryPoints:
-        return points_from_gaps(GapVector(tuple(float(b) for b in gaps)), start=self.anchor)
-
     @property
     def boundaries(self) -> tuple[BoundaryPoints, ...]:
         """Every step's boundary points, replayed from the run."""
-        return tuple(self._decode(g) for g in self.run.steps())
+        return tuple(points_from_gaps(g, self.anchor) for g in self.run.steps())
 
     @property
     def final(self) -> BoundaryPoints:
-        return self._decode(self.run.final)
+        return points_from_gaps(self.run.final, self.anchor)
 
     def polygons(self) -> list[list[complex]]:
         """Materialized vertex lists, one per step."""
@@ -310,8 +282,7 @@ def regularize_hyperbolic(bp: BoundaryPoints, tol: float, max_iter: int) -> Hype
     vectors are decoded back to boundary points.
     """
     gaps = gaps_from_points(bp)
-    limit = limit_gaps(gaps).values
-    run = circulant.iterate(gap_step_spec(2 * bp.n), gaps.values, limit, tol, max_iter)
+    run = circulant.iterate(gap_step_spec(2 * bp.n), gaps, limit_gaps(gaps), tol, max_iter)
     return HyperbolicRegularization(bp.points[0], run)
 
 
@@ -333,24 +304,22 @@ def check_regular(bp: BoundaryPoints, tol: float) -> bool:
     up from the gap tolerance because boundary positions move by O(n*tol)
     and the wedge angle is Lipschitz in them for nondegenerate polygons.
     """
-    gaps = np.asarray(gaps_from_points(bp).values)
-    even_spread = float(np.max(np.abs(gaps[0::2] - gaps[0::2].mean())))
-    odd_spread = float(np.max(np.abs(gaps[1::2] - gaps[1::2].mean())))
-    if max(even_spread, odd_spread) > tol:
+    gaps = gaps_from_points(bp)
+    if np.max(np.abs(gaps - limit_gaps(gaps))) > tol:
         return False
     angles = _measured_angles(bp)
     angle_tol = max(100.0 * tol, 1e-9)
     return max(angles) - min(angles) <= angle_tol
 
 
-def is_ideal_limit(b: GapVector) -> bool:
+def is_ideal_limit(gaps: np.ndarray) -> bool:
     """Does the iteration limit collapse to the boundary?
 
     True exactly when the odd-parity mean (the limit's second alternating
     value) vanishes, i.e. paired geodesic endpoints merge and the limiting
     sides meet on the unit circle.
     """
-    odd_mean = math.fsum(b.values[1::2]) / b.n
+    odd_mean = math.fsum(gaps[1::2]) / (len(gaps) // 2)
     return odd_mean <= 1e-12
 
 

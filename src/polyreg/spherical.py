@@ -163,11 +163,6 @@ def _azimuths(axis: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     return np.arctan2(vertices @ e2, vertices @ e1)
 
 
-def _gaps_about(axis: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    az = _azimuths(axis, vertices)
-    return np.mod(np.diff(np.append(az, az[0])), _TWO_PI)
-
-
 def _candidate_axis(vertices: np.ndarray) -> np.ndarray:
     n = vertices.shape[0]
     last_error: Exception | None = None
@@ -188,7 +183,9 @@ def to_cyclic_frame(p: SphericalPolygon) -> CyclicFrame:
 
     For triangles the axis is constructed outright; for larger polygons a
     shared axis must already exist: all vertex dots against the candidate
-    axis have to agree within 1e-8, otherwise NotCyclicError.
+    axis have to agree within 1e-8, otherwise NotCyclicError.  The axis
+    comes from circumcenter_triangle, so a polygon that winds once winds
+    ccw about it; one that does not (a star) is NotCyclicError too.
     """
     v = p.vertices
     axis = _candidate_axis(v)
@@ -198,25 +195,25 @@ def to_cyclic_frame(p: SphericalPolygon) -> CyclicFrame:
     cos_radius = float(np.mean(dots))
     if not -1.0 + 1e-12 < cos_radius < 1.0 - 1e-12:
         raise DegenerateConfigurationError("circumscribed circle degenerates to a point")
-    gaps = _gaps_about(axis, v)
+    gaps = euclid.cyclic_gaps(_azimuths(axis, v))
     if abs(math.fsum(gaps) - _TWO_PI) > 1e-6:
-        axis = -axis
-        cos_radius = -cos_radius
-        gaps = _gaps_about(axis, v)
-        if abs(math.fsum(gaps) - _TWO_PI) > 1e-6:
-            raise NotCyclicError(
-                "vertices do not wind once counter-clockwise about the axis"
-            )
+        raise NotCyclicError("vertices do not wind once counter-clockwise about the axis")
     return CyclicFrame(axis=axis, cos_radius=cos_radius, gaps=gaps)
+
+
+def _ring(axis: np.ndarray, cos_radius: float, start: float, gaps: np.ndarray) -> SphericalPolygon:
+    """Vertices on the circle of axis-dot cos_radius, vertex 0 at azimuth
+    start, the rest ccw by gaps."""
+    e1, e2 = _complete_frame(axis)
+    sin_radius = math.sqrt(max(0.0, 1.0 - cos_radius * cos_radius))
+    az = euclid.positions_from_gaps(start, gaps)
+    ring = np.outer(np.cos(az), e1) + np.outer(np.sin(az), e2)
+    return SphericalPolygon(cos_radius * axis + sin_radius * ring)
 
 
 def from_cyclic_frame(f: CyclicFrame, start_azimuth: float = 0.0) -> SphericalPolygon:
     """Rebuild vertices on the frame's circle, vertex 0 at start_azimuth."""
-    e1, e2 = _complete_frame(f.axis)
-    sin_radius = math.sqrt(max(0.0, 1.0 - f.cos_radius * f.cos_radius))
-    az = start_azimuth + np.concatenate(([0.0], np.cumsum(f.gaps[:-1])))
-    ring = np.outer(np.cos(az), e1) + np.outer(np.sin(az), e2)
-    return SphericalPolygon(f.cos_radius * f.axis + sin_radius * ring)
+    return _ring(f.axis, f.cos_radius, start_azimuth, f.gaps)
 
 
 def step_spec(n: int, k: int) -> circulant.CirculantSpec:
@@ -240,7 +237,8 @@ class RegularizationResult:
     """A regularization run on one fixed circumcircle.
 
     Holds the gap run and vertex 0's start azimuth; polygons are decoded on
-    demand, vertex 0 in closed form, so a run keeps O(n) state.
+    demand straight from the run's gaps, vertex 0 in closed form, so a run
+    keeps O(n) state.
     """
 
     axis: np.ndarray
@@ -259,8 +257,7 @@ class RegularizationResult:
 
     def _decode(self, gaps: np.ndarray, steps: int) -> SphericalPolygon:
         azimuth = euclid.vertex0_azimuth(self.start, self.run.start, gaps, steps, self.k)
-        frame = CyclicFrame(axis=self.axis, cos_radius=self.cos_radius, gaps=gaps)
-        return from_cyclic_frame(frame, start_azimuth=azimuth)
+        return _ring(self.axis, self.cos_radius, azimuth, gaps)
 
     @property
     def polygons(self) -> tuple[SphericalPolygon, ...]:

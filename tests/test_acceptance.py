@@ -167,8 +167,7 @@ def test_criterion_5_hyperbolic_limit():
             factor = circulant.contraction_factor(spec)
             for _ in range(100):
                 values = rng.dirichlet(np.ones(two_n))
-                gaps = hyperbolic.GapVector(tuple(values))
-                limit = np.asarray(hyperbolic.limit_gaps(gaps).values)
+                limit = hyperbolic.limit_gaps(values)
 
                 power = np.asarray(values)
                 for _ in range(100):
@@ -217,7 +216,7 @@ def test_criterion_6_regularity_from_alternating_gaps():
         for _ in range(100):
             a = float(rng.uniform(0.02, 1 / 3 - 0.02))
             b = 1 / 3 - a
-            gaps = hyperbolic.GapVector((a, b, a, b, a, b))
+            gaps = np.array([a, b, a, b, a, b])
             bp = hyperbolic.points_from_gaps(gaps, start=float(rng.uniform(0, 1)))
             geos = hyperbolic.geodesics_of(bp)
             verts = hyperbolic.polygon_from_boundary(bp)

@@ -40,6 +40,11 @@ class TestEmit:
         emit.write_records(path, records, ["k", "mean_iterations"], "json")
         assert json.loads(path.read_text()) == records
 
+    def test_numpy_float_written_as_repr(self, tmp_path):
+        path = tmp_path / "np.csv"
+        emit.write_records(path, [{"a": np.float64(0.1)}], ["a"], "csv")
+        assert path.read_text() == "a\n0.1\n"
+
     def test_rejects_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             emit.write_records(tmp_path / "x", [], ["a"], "yaml")
@@ -79,6 +84,24 @@ class TestRegularizeCommand:
         assert summary["converged"] is True
         final = np.asarray(summary["final"])
         assert np.allclose(np.linalg.norm(final, axis=1), 1.0, atol=1e-9)
+
+    def test_sphere_long_run_decodes_drifted_gap_sum(self, capsys, tmp_path):
+        # each k=3 step moves the gap sum by ~4e-16; after 300 000 steps it is
+        # off by more than a caller-built CyclicFrame accepts (1e-10), and the
+        # decode must not re-validate the run's own gaps against that bound
+        gaps = np.random.default_rng(0).dirichlet(np.ones(200)) * 2 * math.pi
+        frame = spherical.CyclicFrame(axis=np.array([0.0, 0.0, 1.0]), cos_radius=0.3, gaps=gaps)
+        inp = write_json(tmp_path / "s.json", spherical.from_cyclic_frame(frame).vertices.tolist())
+        code, out = run_cli(
+            capsys, "regularize", "--geometry", "sphere", "--input", inp,
+            "--k", "3", "--tol", "1e-14", "--max-iter", "300000",
+        )
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["converged"] is False and summary["iterations"] == 300000
+        final = np.asarray(summary["final"])
+        assert np.max(np.abs(np.linalg.norm(final, axis=1) - 1.0)) <= 1e-9
+        assert np.max(np.abs(final[:, 2] - 0.3)) <= 1e-9
 
     def test_hyperbolic(self, capsys, tmp_path):
         inp = write_json(tmp_path / "h.json", [0.0, 0.3, 0.4, 0.6, 0.7, 0.9])
@@ -297,9 +320,8 @@ class TestDeterminism:
             gaps = spherical.to_cyclic_frame(spherical.SphericalPolygon(payload)).gaps
             spec, target = spherical.step_spec(3, 2), np.full(3, 2 * math.pi / 3)
         else:
-            vector = hyperbolic.gaps_from_points(hyperbolic.BoundaryPoints(tuple(payload)))
-            gaps, spec = np.asarray(vector.values), hyperbolic.gap_step_spec(6)
-            target = hyperbolic.limit_gaps(vector).values
+            gaps = hyperbolic.gaps_from_points(hyperbolic.BoundaryPoints(tuple(payload)))
+            spec, target = hyperbolic.gap_step_spec(6), hyperbolic.limit_gaps(gaps)
         steps = [gaps]
         for _ in range(json.loads(out)["iterations"]):
             steps.append(circulant.apply(spec, steps[-1]))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyreg import circulant, euclid
 from polyreg.euclid import DegenerateTriangleError, PlaneTriangle
@@ -168,6 +170,23 @@ class TestRotateHalfStep:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateTriangleError):
             euclid.regularize(PlaneTriangle((0, 1, 2)), tol=1e-9, max_iter=10)
+
+
+class TestCodec:
+    def test_hand_example(self):
+        assert np.allclose(euclid.cyclic_gaps([0.9, 0.1, 0.4], 1.0), [0.2, 0.3, 0.5], atol=1e-15)
+        assert np.allclose(euclid.positions_from_gaps(0.9, [0.2, 0.3, 0.5]), [0.9, 1.1, 1.4], atol=1e-15)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(st.floats(1e-3, 1.0), min_size=3, max_size=64),
+        start=st.floats(-10.0, 10.0),
+        period=st.sampled_from([2 * math.pi, 1.0]),
+    )
+    def test_round_trip(self, weights, start, period):
+        gaps = np.asarray(weights) / math.fsum(weights) * period
+        positions = euclid.positions_from_gaps(start, gaps)
+        assert np.max(np.abs(euclid.cyclic_gaps(positions, period) - gaps)) <= 1e-12
 
 
 # On converging runs the closed form stays within about 3e-12 of exactly

@@ -7,7 +7,6 @@ import pytest
 from polyreg import circulant, hyperbolic
 from polyreg.hyperbolic import (
     BoundaryPoints,
-    GapVector,
     NoInteriorIntersectionError,
     gap_step_spec,
 )
@@ -20,7 +19,7 @@ HEX_EXAMPLE = BoundaryPoints((0.0, 0.3, 0.4, 0.6, 0.7, 0.9))
 def alternating_boundary(a, start=0.0, n=3):
     b = 1.0 / n - a
     gaps = [a, b] * n
-    return hyperbolic.points_from_gaps(GapVector(tuple(gaps)), start=start)
+    return hyperbolic.points_from_gaps(np.array(gaps), start=start)
 
 
 class TestBoundaryTypes:
@@ -42,9 +41,9 @@ class TestBoundaryTypes:
 
     def test_gap_vector_bounds(self):
         with pytest.raises(ValueError):
-            GapVector((0.5, -0.1, 0.2, 0.1, 0.2, 0.1))
+            hyperbolic.points_from_gaps(np.array([0.5, -0.1, 0.2, 0.1, 0.2, 0.1]))
         with pytest.raises(ValueError):
-            GapVector((0.5, 0.1, 0.2, 0.1, 0.2, 0.2))
+            hyperbolic.points_from_gaps(np.array([0.5, 0.1, 0.2, 0.1, 0.2, 0.2]))
 
 
 class TestGeodesicFromBoundary:
@@ -148,7 +147,7 @@ class TestInteriorAngle:
             gaps = rng.dirichlet(np.ones(6))
             if np.min(gaps) < 0.02:
                 continue
-            bp = hyperbolic.points_from_gaps(GapVector(tuple(gaps)), start=rng.uniform(0, 1))
+            bp = hyperbolic.points_from_gaps(gaps, start=rng.uniform(0, 1))
             geos = hyperbolic.geodesics_of(bp)
             verts = hyperbolic.polygon_from_boundary(bp)
             centroid = sum(verts) / 3
@@ -187,7 +186,7 @@ class TestPolygonFromBoundary:
             assert max(abs(z) for z in verts) <= 1e-7
 
     def test_octagon_boundary(self):
-        gaps = GapVector((0.2, 0.1, 0.1, 0.1, 0.2, 0.1, 0.1, 0.1))
+        gaps = np.array([0.2, 0.1, 0.1, 0.1, 0.2, 0.1, 0.1, 0.1])
         bp = hyperbolic.points_from_gaps(gaps)
         verts = hyperbolic.polygon_from_boundary(bp)
         assert len(verts) == 4
@@ -197,7 +196,7 @@ class TestPolygonFromBoundary:
 class TestGapConversions:
     def test_hand_example(self):
         gaps = hyperbolic.gaps_from_points(HEX_EXAMPLE)
-        assert np.allclose(gaps.values, [0.3, 0.1, 0.2, 0.1, 0.2, 0.1], atol=1e-15)
+        assert np.allclose(gaps, [0.3, 0.1, 0.2, 0.1, 0.2, 0.1], atol=1e-15)
 
     def test_round_trip(self):
         gaps = hyperbolic.gaps_from_points(HEX_EXAMPLE)
@@ -207,13 +206,11 @@ class TestGapConversions:
     def test_uniform_round_trip(self):
         bp = BoundaryPoints(tuple(j / 6 for j in range(6)))
         gaps = hyperbolic.gaps_from_points(bp)
-        assert np.allclose(gaps.values, 1 / 6, atol=1e-15)
+        assert np.allclose(gaps, 1 / 6, atol=1e-15)
 
     def test_zero_gap_rejected(self):
         with pytest.raises(ValueError):
-            hyperbolic.points_from_gaps(
-                GapVector((0.0, 0.4, 0.2, 0.1, 0.2, 0.1)), start=0.0
-            )
+            hyperbolic.points_from_gaps(np.array([0.0, 0.4, 0.2, 0.1, 0.2, 0.1]), start=0.0)
 
 
 class TestGapStep:
@@ -242,32 +239,31 @@ class TestGapStep:
 
 class TestLimitGaps:
     def test_hand_example(self):
-        limit = hyperbolic.limit_gaps(GapVector((0.3, 0.1, 0.2, 0.1, 0.2, 0.1)))
-        assert np.allclose(limit.values, [7 / 30, 0.1, 7 / 30, 0.1, 7 / 30, 0.1], atol=1e-15)
+        limit = hyperbolic.limit_gaps(np.array([0.3, 0.1, 0.2, 0.1, 0.2, 0.1]))
+        assert np.allclose(limit, [7 / 30, 0.1, 7 / 30, 0.1, 7 / 30, 0.1], atol=1e-15)
 
     def test_alternating_fixed_point(self):
-        gaps = GapVector((0.25, 1 / 12, 0.25, 1 / 12, 0.25, 1 / 12))
-        assert np.allclose(hyperbolic.limit_gaps(gaps).values, gaps.values, atol=1e-15)
+        gaps = np.array([0.25, 1 / 12, 0.25, 1 / 12, 0.25, 1 / 12])
+        assert np.allclose(hyperbolic.limit_gaps(gaps), gaps, atol=1e-15)
 
     def test_uniform_fixed_point(self):
-        gaps = GapVector(tuple([1 / 6] * 6))
-        assert np.allclose(hyperbolic.limit_gaps(gaps).values, gaps.values, atol=1e-15)
+        gaps = np.full(6, 1 / 6)
+        assert np.allclose(hyperbolic.limit_gaps(gaps), gaps, atol=1e-15)
 
     def test_idempotent_and_fixed_by_step(self):
         rng = np.random.default_rng(11)
-        vals = GapVector(tuple(rng.dirichlet(np.ones(10))))
+        vals = rng.dirichlet(np.ones(10))
         limit = hyperbolic.limit_gaps(vals)
         again = hyperbolic.limit_gaps(limit)
-        assert np.allclose(limit.values, again.values, atol=1e-15)
-        stepped = circulant.apply(gap_step_spec(10), limit.values)
-        assert np.allclose(limit.values, stepped, atol=1e-15)
+        assert np.allclose(limit, again, atol=1e-15)
+        stepped = circulant.apply(gap_step_spec(10), limit)
+        assert np.allclose(limit, stepped, atol=1e-15)
 
     def test_matches_engine_projection_and_powers(self):
         rng = np.random.default_rng(13)
         for two_n in (6, 8):
             vals = rng.dirichlet(np.ones(two_n))
-            gaps = GapVector(tuple(vals))
-            limit = np.asarray(hyperbolic.limit_gaps(gaps).values)
+            limit = hyperbolic.limit_gaps(vals)
             spec = gap_step_spec(two_n)
             assert np.allclose(limit, circulant.fixed_space_limit(spec, vals), atol=1e-13)
             power = np.asarray(vals)
@@ -285,9 +281,7 @@ class TestRegularize:
     def test_contracts_by_half_each_step(self):
         result = hyperbolic.regularize_hyperbolic(HEX_EXAMPLE, tol=1e-9, max_iter=200)
         assert result.converged
-        limit = np.asarray(
-            hyperbolic.limit_gaps(hyperbolic.gaps_from_points(HEX_EXAMPLE)).values
-        )
+        limit = hyperbolic.limit_gaps(hyperbolic.gaps_from_points(HEX_EXAMPLE))
         norms = [np.linalg.norm(g - limit) for g in result.run.steps()]
         for before, after in zip(norms, norms[1:]):
             assert after == pytest.approx(before / 2, rel=1e-9)
@@ -348,13 +342,13 @@ class TestIdealLimit:
         for _ in range(20):
             vals = rng.dirichlet(np.ones(6)) + 1e-3
             vals = vals / vals.sum()
-            assert not hyperbolic.is_ideal_limit(GapVector(tuple(vals)))
+            assert not hyperbolic.is_ideal_limit(vals)
 
     def test_zero_odd_entries_ideal(self):
-        assert hyperbolic.is_ideal_limit(GapVector((1 / 3, 0.0, 1 / 3, 0.0, 1 / 3, 0.0)))
+        assert hyperbolic.is_ideal_limit(np.array([1 / 3, 0.0, 1 / 3, 0.0, 1 / 3, 0.0]))
 
     def test_hand_example_not_ideal(self):
-        assert not hyperbolic.is_ideal_limit(GapVector((0.3, 0.1, 0.2, 0.1, 0.2, 0.1)))
+        assert not hyperbolic.is_ideal_limit(np.array([0.3, 0.1, 0.2, 0.1, 0.2, 0.1]))
 
 
 class TestPolarConstruction:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polyreg import circulant, spherical
+from polyreg import circulant, euclid, spherical
 from polyreg.spherical import (
     CyclicFrame,
     DegenerateConfigurationError,
@@ -98,7 +98,7 @@ class TestCircumcenterTriangle:
                 axis = spherical.circumcenter_triangle(*z)
             except DegenerateConfigurationError:
                 continue
-            gaps = spherical._gaps_about(axis, np.array(z))
+            gaps = euclid.cyclic_gaps(spherical._azimuths(axis, np.array(z)))
             assert math.fsum(gaps) == pytest.approx(TWO_PI, abs=1e-9)
 
 
@@ -142,6 +142,13 @@ class TestCyclicFrame:
         frame = spherical.to_cyclic_frame(cw)
         assert np.allclose(frame.axis, -E3, atol=1e-12)
         assert math.fsum(frame.gaps) == pytest.approx(TWO_PI, abs=1e-10)
+
+    def test_star_polygon_rejected(self):
+        # a consecutive triple winds clockwise, so the axis flips to -E3, and
+        # about either axis the azimuths wind twice
+        star = ring_polygon(E3, 1.0, [0.0, math.pi, 0.5 * math.pi, 1.5 * math.pi])
+        with pytest.raises(NotCyclicError):
+            spherical.to_cyclic_frame(star)
 
     def test_frame_validation(self):
         with pytest.raises(ValueError):
