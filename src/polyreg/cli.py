@@ -4,13 +4,15 @@ Subcommands: regularize (plane / sphere / hyperbolic, with optional
 iteration trace), eigen (circulant spectrum), napoleon (one-shot
 constructions), fit (small-circle fit), analyze (angle-transform
 classification) and experiment table1 (seeded convergence statistics).
-Inputs are JSON files; summaries go to stdout as JSON, larger outputs to
-files via --trace / --out.
+Inputs are JSON files.  Subcommands return their payload; main writes it
+to --out and to stdout as strict JSON, and any failure exits 2 with an
+`error:` line.  regularize streams its --trace file itself.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -23,10 +25,6 @@ from . import analyzer, circulant, emit, euclid, experiment, hyperbolic, spheric
 def _load_json(path):
     with Path(path).open("r", encoding="utf-8") as handle:
         return json.load(handle)
-
-
-def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
 
 
 def _float_array(data, shape: tuple, message: str) -> np.ndarray:
@@ -57,7 +55,21 @@ def _complex_pairs(zs) -> list[list[float]]:
     return [[z.real, z.imag] for z in zs]
 
 
-def _cmd_regularize(args) -> int:
+class _Trace:
+    """A run's trace records, made as they are written; len() needs no pass,
+    so the benchmark's emit counters can count rows after the write."""
+
+    def __init__(self, run):
+        self.run = run
+
+    def __iter__(self):
+        return emit.trace_records(self.run.steps(), self.run.target)
+
+    def __len__(self) -> int:
+        return self.run.iterations + 1
+
+
+def _cmd_regularize(args) -> dict:
     data = _load_json(args.input)
     if args.geometry == "plane":
         if args.k != 2:
@@ -81,18 +93,16 @@ def _cmd_regularize(args) -> int:
             "final_vertices": _complex_pairs(hyperbolic.polygon_from_boundary(result.final)),
         }
     if args.trace:
-        records = emit.trace_records(run.steps(), run.target)
-        emit.write_records(args.trace, records, emit.trace_columns(run.spec.n), args.format)
-    _print_json(
-        {"geometry": args.geometry, "converged": run.converged, "iterations": run.iterations, **outcome}
-    )
-    return 0
+        emit.write_records(args.trace, _Trace(run), emit.trace_columns(run.spec.n), args.format)
+    return {"geometry": args.geometry, "converged": run.converged, "iterations": run.iterations, **outcome}
 
 
-def _cmd_eigen(args) -> int:
+def _cmd_eigen(args) -> list[dict]:
     coeffs = _float_array(_load_json(args.spec), (None,), "spec must be a JSON array of numbers")
     spec = circulant.CirculantSpec(tuple(coeffs))
-    records = [
+    with np.errstate(over="ignore", invalid="ignore"):  # main rejects a non-finite spectrum
+        spectrum = circulant.eigenvalues(spec)
+    return [
         {
             "index": e.index,
             "real": e.eigenvalue.real,
@@ -100,54 +110,41 @@ def _cmd_eigen(args) -> int:
             "modulus": e.modulus,
             "angle": e.angle,
         }
-        for e in circulant.eigenvalues(spec)
+        for e in spectrum
     ]
-    if args.out:
-        emit.write_records(args.out, records, ["index", "real", "imag", "modulus", "angle"], args.format)
-    _print_json(records)
-    return 0
 
 
-def _cmd_napoleon(args) -> int:
+def _cmd_napoleon(args) -> dict:
     data = _load_json(args.input)
     if args.geometry == "plane":
         apices, centers = euclid.napoleon(_plane_triangle(data))
-        payload = {
+        return {
             "geometry": "plane",
             "apices": _complex_pairs(apices),
             "centers": _complex_pairs(centers.vertices),
         }
-    else:
-        pts = _sphere_points(data)
-        if pts.shape[0] != 3:
-            raise ValueError("sphere napoleon expects exactly three points")
-        result = spherical.napoleon_sphere(pts[0], pts[1], pts[2])
-        payload = {
-            "geometry": "sphere",
-            "vertices": [list(map(float, v)) for v in result.vertices],
-        }
-    if args.out:
-        emit.write_json(args.out, payload)
-    _print_json(payload)
-    return 0
+    pts = _sphere_points(data)
+    if pts.shape[0] != 3:
+        raise ValueError("sphere napoleon expects exactly three points")
+    result = spherical.napoleon_sphere(pts[0], pts[1], pts[2])
+    return {
+        "geometry": "sphere",
+        "vertices": [list(map(float, v)) for v in result.vertices],
+    }
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> dict:
     pts = _sphere_points(_load_json(args.input))
     axis, cos_radius = spherical.fit_small_circle(pts)
-    payload = {"axis": list(map(float, axis)), "cos_radius": cos_radius}
-    if args.out:
-        emit.write_json(args.out, payload)
-    _print_json(payload)
-    return 0
+    return {"axis": list(map(float, axis)), "cos_radius": cos_radius}
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> dict:
     matrix = _float_array(
         _load_json(args.matrix), (None, None), "matrix must be a JSON array of equal-length rows"
     )
     report = analyzer.classify(analyzer.LinearAngleTransform(matrix))
-    payload = {
+    return {
         "preserves_sum": report.preserves_sum,
         "fixes_regular": report.fixes_regular,
         "attracting": report.attracting,
@@ -155,13 +152,9 @@ def _cmd_analyze(args) -> int:
         "rotation_params": list(report.rotation_params) if report.rotation_params else None,
         "structure": list(report.structure),
     }
-    if args.out:
-        emit.write_json(args.out, payload)
-    _print_json(payload)
-    return 0
 
 
-def _cmd_experiment_table1(args) -> int:
+def _cmd_experiment_table1(args) -> list[dict]:
     config = experiment.ExperimentConfig(
         k_values=tuple(int(k) for k in args.k.split(",") if k.strip()),
         trials=args.trials,
@@ -169,15 +162,12 @@ def _cmd_experiment_table1(args) -> int:
         cap=args.cap,
         seed=args.seed,
     )
-    rows = experiment.run_table1(config, sampler=args.sampler)
-    records = emit.experiment_records(rows)
-    if args.out:
-        emit.write_records(args.out, records, list(emit.EXPERIMENT_COLUMNS), args.format)
-    _print_json(records)
-    return 0
+    return emit.experiment_records(experiment.run_table1(config, sampler=args.sampler))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The polyreg parser, built once per process and shared by every main call."""
     parser = argparse.ArgumentParser(
         prog="polyreg",
         description="Regularize polygons in plane, sphere and hyperbolic-disk geometry",
@@ -198,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     eig.add_argument("--spec", required=True, help="JSON array with the first row")
     eig.add_argument("--out")
     eig.add_argument("--format", choices=emit.FORMATS, default="json")
-    eig.set_defaults(func=_cmd_eigen)
+    eig.set_defaults(func=_cmd_eigen, columns=("index", "real", "imag", "modulus", "angle"))
 
     nap = sub.add_parser("napoleon", help="one-shot three-centers construction")
     nap.add_argument("--geometry", choices=("plane", "sphere"), required=True)
@@ -227,19 +217,25 @@ def build_parser() -> argparse.ArgumentParser:
     table1.add_argument("--out")
     table1.add_argument("--format", choices=emit.FORMATS, default="csv")
     table1.add_argument("--sampler", choices=experiment.SAMPLERS, default="sphere")
-    table1.set_defaults(func=_cmd_experiment_table1)
+    table1.set_defaults(func=_cmd_experiment_table1, columns=emit.EXPERIMENT_COLUMNS)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
+        payload = args.func(args)
+        out, columns = getattr(args, "out", None), getattr(args, "columns", None)
+        if out and columns:
+            emit.write_records(out, payload, columns, args.format)
+        elif out:
+            emit.write_json(out, payload)
+        print(json.dumps(payload, indent=2, allow_nan=False))
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict
 from pathlib import Path
 
@@ -23,11 +24,11 @@ def trace_columns(width: int) -> list[str]:
     return ["iteration", "deviation_max", "deviation_l2"] + [f"v_{i}" for i in range(width)]
 
 
-def trace_records(steps, target) -> list[dict]:
+def trace_records(steps, target) -> Iterator[dict]:
     """Per-iteration records from any iterable of step vectors (a list, or a
-    run's replay): deviations against `target`, then the vector."""
+    run's replay), made one at a time: deviations against `target`, then
+    the vector."""
     target = np.asarray(target, dtype=float)
-    records = []
     for iteration, vec in enumerate(steps):
         vec = np.asarray(vec, dtype=float)
         dev = vec - target
@@ -38,23 +39,27 @@ def trace_records(steps, target) -> list[dict]:
         }
         for i, x in enumerate(vec):
             record[f"v_{i}"] = float(x)
-        records.append(record)
-    return records
+        yield record
 
 
 def experiment_records(rows) -> list[dict]:
     return [asdict(row) for row in rows]
 
 
-def write_records(path, records: list[dict], columns: list[str], fmt: str = "csv") -> None:
-    """Write records as CSV (given column order) or JSON (list of objects)."""
+def write_records(path, records: Iterable[dict], columns: Sequence[str], fmt: str = "csv") -> None:
+    """Write records as they arrive, as CSV (given column order) or JSON (a
+    list of objects, the bytes of json.dumps(list(records), indent=2))."""
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}")
-    path = Path(path)
-    if fmt == "json":
-        path.write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
-        return
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        if fmt == "json":
+            encoder = json.JSONEncoder(indent=2, allow_nan=False)
+            separator = "[\n  "
+            for record in records:
+                handle.write(separator + encoder.encode(record).replace("\n", "\n  "))
+                separator = ",\n  "
+            handle.write("[]\n" if separator == "[\n  " else "\n]\n")
+            return
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
         for record in records:
@@ -62,4 +67,4 @@ def write_records(path, records: list[dict], columns: list[str], fmt: str = "csv
 
 
 def write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8")

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ class TestEmit:
     def test_trace_rows_include_step_zero(self):
         history = [np.array([1.0, 2.0, 3.0]), np.array([1.5, 2.0, 2.5]),
                    np.array([1.75, 2.0, 2.25]), np.array([1.9, 2.0, 2.1])]
-        records = emit.trace_records(history, np.full(3, 2.0))
+        records = list(emit.trace_records(history, np.full(3, 2.0)))
         assert len(records) == 4
         assert records[0]["iteration"] == 0
         assert records[0]["deviation_max"] == 1.0
@@ -39,6 +40,25 @@ class TestEmit:
         path = tmp_path / "rows.json"
         emit.write_records(path, records, ["k", "mean_iterations"], "json")
         assert json.loads(path.read_text()) == records
+        three = [{"k": 2, "rows": [[0.1, -0.0]]}, {}, {"k": 4, "name": "a\nb"}]
+        for rows in ([], three):
+            emit.write_records(path, iter(rows), ["k"], "json")
+            assert path.read_text() == json.dumps(rows, indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", emit.FORMATS)
+    def test_trace_written_in_bounded_memory(self, tmp_path, fmt):
+        gaps = np.random.default_rng(5).dirichlet(np.ones(16)) * 2 * math.pi
+        run = circulant.iterate(spherical.step_spec(16, 2), gaps, np.full(16, math.pi / 8), 1e-12, 10**6)
+        assert run.converged and run.iterations >= 1000
+        path = tmp_path / f"trace.{fmt}"
+        tracemalloc.start()
+        try:
+            emit.write_records(path, emit.trace_records(run.steps(), run.target), emit.trace_columns(16), fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert len(path.read_text().splitlines()) > run.iterations
 
     def test_numpy_float_written_as_repr(self, tmp_path):
         path = tmp_path / "np.csv"
@@ -191,10 +211,12 @@ SPHERE_TRIANGLE = [[0.6, 0.0, 0.8], [-0.6, 0.0, 0.8], [0.0, -0.6, 0.8]]
         (HEXAGON, ["regularize", "--max-iter", "-1", "--geometry", "hyperbolic", "--input"]),
         (TRIANGLE, ["regularize", "--tol", "nan", "--geometry", "plane", "--input"]),
         (HEXAGON, ["regularize", "--tol", "nan", "--geometry", "hyperbolic", "--input"]),
+        ([1e308, 1e308], ["eigen", "--spec"]),
+        ([[1e200, 0], [0, 1e200], [-1e200, 0]], ["regularize", "--geometry", "plane", "--input"]),
     ],
     ids=["plane-column", "napoleon-column", "hyperbolic-column", "eigen-nested",
          "analyze-object", "plane-max-iter", "sphere-max-iter", "hyperbolic-max-iter",
-         "plane-tol-nan", "hyperbolic-tol-nan"],
+         "plane-tol-nan", "hyperbolic-tol-nan", "eigen-overflow", "plane-overflow"],
 )
 def test_malformed_input_exits_2_with_error(capsys, tmp_path, payload, argv):
     code = cli.main(argv + [write_json(tmp_path / "in.json", payload)])
@@ -202,6 +224,44 @@ def test_malformed_input_exits_2_with_error(capsys, tmp_path, payload, argv):
     assert code == 2
     assert captured.err.startswith("error:")
     assert captured.out == ""
+
+
+class TestParserReuse:
+    def test_format_does_not_carry_over(self, capsys, tmp_path):
+        inp = write_json(tmp_path / "spec.json", [0.5, 0.5, 0.0])
+        a, b = tmp_path / "a.csv", tmp_path / "b.json"
+        assert run_cli(capsys, "eigen", "--spec", inp, "--out", str(a), "--format", "csv")[0] == 0
+        code, out = run_cli(capsys, "eigen", "--spec", inp, "--out", str(b))
+        assert code == 0
+        assert a.read_text().startswith("index,real,imag,modulus,angle\n")
+        assert json.loads(b.read_text()) == json.loads(out)
+
+    def test_trace_does_not_carry_over(self, capsys, tmp_path):
+        inp = write_json(tmp_path / "t.json", TRIANGLE)
+        trace = tmp_path / "t.csv"
+        base = ["regularize", "--geometry", "plane", "--input", inp]
+        assert run_cli(capsys, *base, "--trace", str(trace))[0] == 0
+        trace.unlink()
+        assert run_cli(capsys, *base)[0] == 0
+        assert list(tmp_path.iterdir()) == [tmp_path / "t.json"]
+
+    def test_usage_error_leaves_parser_usable(self, capsys, tmp_path):
+        inp = write_json(tmp_path / "t.json", TRIANGLE)
+        argv = ["regularize", "--geometry", "plane", "--input", inp]
+        first = run_cli(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["regularize", "--geometry", "plane", "--k", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run_cli(capsys, *argv) == first
+
+    def test_parser_built_once(self, capsys, tmp_path):
+        inp = write_json(tmp_path / "spec.json", [0.5, 0.5, 0.0])
+        cli.build_parser.cache_clear()
+        for _ in range(3):
+            assert run_cli(capsys, "eigen", "--spec", inp)[0] == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 class TestEigenCommand:
