@@ -16,7 +16,7 @@ on a gap vector.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import islice
 
@@ -160,6 +160,32 @@ class Run:
     def steps(self) -> Iterator[np.ndarray]:
         """start, A start, ..., final: the iterations + 1 vectors, lazily."""
         return islice(_orbit(self.spec, self.start), self.iterations + 1)
+
+
+@dataclass(frozen=True)
+class Regularization:
+    """A run and its geometry's decoder: decode(gaps, m) is the polygon
+    after m steps.  Every polygon comes from the run's gaps on demand, so a
+    regularization keeps the run's O(n) state in any geometry."""
+
+    run: Run
+    decode: Callable[[np.ndarray, int], object]
+
+    @property
+    def iterations(self) -> int:
+        return self.run.iterations
+
+    @property
+    def converged(self) -> bool:
+        return self.run.converged
+
+    @property
+    def final(self):
+        return self.decode(self.run.final, self.run.iterations)
+
+    def steps(self) -> Iterator:
+        """The iterations + 1 polygons, input to final, decoded lazily."""
+        return (self.decode(gaps, m) for m, gaps in enumerate(self.run.steps()))
 
 
 def _orbit(spec: CirculantSpec, v: np.ndarray) -> Iterator[np.ndarray]:

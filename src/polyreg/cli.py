@@ -6,7 +6,8 @@ constructions), fit (small-circle fit), analyze (angle-transform
 classification) and experiment table1 (seeded convergence statistics).
 Inputs are JSON files.  Subcommands return their payload; main writes it
 to --out and to stdout as strict JSON, and any failure exits 2 with an
-`error:` line.  regularize streams its --trace file itself.
+`error:` line.  A payload that is not strict JSON fails before --out is
+opened.  regularize streams its --trace file itself.
 """
 
 from __future__ import annotations
@@ -74,12 +75,11 @@ def _cmd_regularize(args) -> dict:
     if args.geometry == "plane":
         if args.k != 2:
             raise ValueError("plane regularization supports only k=2 (half-angle step)")
-        run, final = euclid.regularize(_plane_triangle(data), tol=args.tol, max_iter=args.max_iter)
-        outcome = {"final": _complex_pairs(final.vertices)}
+        result = euclid.regularize(_plane_triangle(data), tol=args.tol, max_iter=args.max_iter)
+        outcome = {"final": _complex_pairs(result.final.vertices)}
     elif args.geometry == "sphere":
         polygon = spherical.SphericalPolygon(_sphere_points(data))
         result = spherical.regularize(polygon, k=args.k, tol=args.tol, max_iter=args.max_iter)
-        run = result.run
         outcome = {"final": [list(map(float, v)) for v in result.final.vertices]}
     else:
         points = _float_array(data, (None,), "hyperbolic input must be a JSON array of numbers")
@@ -87,11 +87,12 @@ def _cmd_regularize(args) -> dict:
         if args.k != 2:
             raise ValueError("hyperbolic regularization has no k parameter (pair averaging)")
         result = hyperbolic.regularize_hyperbolic(boundary, tol=args.tol, max_iter=args.max_iter)
-        run = result.run
+        final = result.final
         outcome = {
-            "final_boundary": list(result.final.points),
-            "final_vertices": _complex_pairs(hyperbolic.polygon_from_boundary(result.final)),
+            "final_boundary": list(final.points),
+            "final_vertices": _complex_pairs(hyperbolic.polygon_from_boundary(final)),
         }
+    run = result.run
     if args.trace:
         emit.write_records(args.trace, _Trace(run), emit.trace_columns(run.spec.n), args.format)
     return {"geometry": args.geometry, "converged": run.converged, "iterations": run.iterations, **outcome}
@@ -226,12 +227,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload = args.func(args)
+        text = json.dumps(payload, indent=2, allow_nan=False)
         out, columns = getattr(args, "out", None), getattr(args, "columns", None)
         if out and columns:
             emit.write_records(out, payload, columns, args.format)
         elif out:
             emit.write_json(out, payload)
-        print(json.dumps(payload, indent=2, allow_nan=False))
+        print(text)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -157,16 +157,18 @@ def triangle_on_circle(center: complex, radius: float, start: float, gaps, turn)
 _HALF_STEP = circulant.CirculantSpec((0.5, 0.5, 0.0))
 
 
-def regularize(t: PlaneTriangle, tol: float, max_iter: int) -> tuple[circulant.Run, PlaneTriangle]:
+def regularize(t: PlaneTriangle, tol: float, max_iter: int) -> circulant.Regularization:
     """Rotate every vertex about the circumcenter by half its gap until every
-    gap is within tol of 2*pi/3; returns the gap run and the final triangle.
+    gap is within tol of 2*pi/3; the run decodes to PlaneTriangles.
 
     The circumcircle never moves and the gap deviation halves every step,
     so the triangle turns equilateral on its own circumcircle.
     """
     center, radius, turn, gaps = circle_frame(t)
+    start = turn * cmath.phase(t.vertices[0] - center)
     run = circulant.iterate(_HALF_STEP, gaps, np.full(3, _TWO_PI / 3), tol, max_iter)
-    start = vertex0_azimuth(
-        turn * cmath.phase(t.vertices[0] - center), run.start, run.final, run.iterations, 2
-    )
-    return run, triangle_on_circle(center, radius, start, run.final, turn)
+
+    def decode(gaps: np.ndarray, m: int) -> PlaneTriangle:
+        return triangle_on_circle(center, radius, vertex0_azimuth(start, run.start, gaps, m, 2), gaps, turn)
+
+    return circulant.Regularization(run, decode)

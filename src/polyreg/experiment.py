@@ -28,8 +28,7 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        ks = tuple(int(k) for k in self.k_values)
-        if not ks or any(k < 2 for k in ks):
+        if not self.k_values or any(int(k) != k or k < 2 for k in self.k_values):
             raise ValueError("k values must be integers >= 2")
         if self.trials < 1:
             raise ValueError("trials must be positive")
@@ -39,7 +38,7 @@ class ExperimentConfig:
             raise ValueError("cap must be positive")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        object.__setattr__(self, "k_values", ks)
+        object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
         object.__setattr__(self, "seed", int(self.seed))
 
 

@@ -126,46 +126,17 @@ def limit_gaps(gaps: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class HyperbolicRegularization:
-    """An averaging run; boundaries and vertices are decoded on demand from
-    the run's gaps and the fixed anchor, boundary point 0."""
-
-    anchor: float
-    run: circulant.Run
-
-    @property
-    def iterations(self) -> int:
-        return self.run.iterations
-
-    @property
-    def converged(self) -> bool:
-        return self.run.converged
-
-    @property
-    def boundaries(self) -> tuple[BoundaryPoints, ...]:
-        """Every step's boundary points, replayed from the run."""
-        return tuple(points_from_gaps(g, self.anchor) for g in self.run.steps())
-
-    @property
-    def final(self) -> BoundaryPoints:
-        return points_from_gaps(self.run.final, self.anchor)
-
-    def polygons(self) -> list[list[complex]]:
-        """Materialized vertex lists, one per step."""
-        return [polygon_from_boundary(bp) for bp in self.boundaries]
-
-
-def regularize_hyperbolic(bp: BoundaryPoints, tol: float, max_iter: int) -> HyperbolicRegularization:
+def regularize_hyperbolic(bp: BoundaryPoints, tol: float, max_iter: int) -> circulant.Regularization:
     """Average every boundary gap with its same-parity neighbour until
     within max-norm tol of the alternating limit.
 
-    The first boundary point is kept as the anchor from which the run's gap
-    vectors are decoded back to boundary points.
+    The run decodes to BoundaryPoints (polygon_from_boundary gives their
+    vertices), accumulated from the first boundary point, which stays put.
     """
     gaps = gaps_from_points(bp)
     run = circulant.iterate(gap_step_spec(2 * bp.n), gaps, limit_gaps(gaps), tol, max_iter)
-    return HyperbolicRegularization(bp.points[0], run)
+    anchor = bp.points[0]
+    return circulant.Regularization(run, lambda gaps, m: points_from_gaps(gaps, anchor))
 
 
 def check_regular(bp: BoundaryPoints, tol: float) -> bool:

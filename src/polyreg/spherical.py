@@ -232,46 +232,10 @@ def step_spec(n: int, k: int) -> circulant.CirculantSpec:
     return circulant.CirculantSpec(tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class RegularizationResult:
-    """A regularization run on one fixed circumcircle.
-
-    Holds the gap run and vertex 0's start azimuth; polygons are decoded on
-    demand straight from the run's gaps, vertex 0 in closed form, so a run
-    keeps O(n) state.
-    """
-
-    axis: np.ndarray
-    cos_radius: float
-    start: float
-    k: int
-    run: circulant.Run
-
-    @property
-    def iterations(self) -> int:
-        return self.run.iterations
-
-    @property
-    def converged(self) -> bool:
-        return self.run.converged
-
-    def _decode(self, gaps: np.ndarray, steps: int) -> SphericalPolygon:
-        azimuth = euclid.vertex0_azimuth(self.start, self.run.start, gaps, steps, self.k)
-        return _ring(self.axis, self.cos_radius, azimuth, gaps)
-
-    @property
-    def polygons(self) -> tuple[SphericalPolygon, ...]:
-        """Every step's polygon, replayed from the run."""
-        return tuple(self._decode(g, m) for m, g in enumerate(self.run.steps()))
-
-    @property
-    def final(self) -> SphericalPolygon:
-        return self._decode(self.run.final, self.run.iterations)
-
-
-def regularize(p: SphericalPolygon, k: int, tol: float, max_iter: int) -> RegularizationResult:
+def regularize(p: SphericalPolygon, k: int, tol: float, max_iter: int) -> circulant.Regularization:
     """Rotate every vertex by its own gap over k until every gap is within
-    tol of 2*pi/n.
+    tol of 2*pi/n; the run decodes to SphericalPolygons, vertex 0 in
+    closed form.
 
     The axis and the vertex-to-axis dots stay fixed over the whole run;
     only the gaps are iterated, through step_spec.  Raises NotCyclicError
@@ -279,10 +243,16 @@ def regularize(p: SphericalPolygon, k: int, tol: float, max_iter: int) -> Regula
     """
     spec = step_spec(p.n, k)
     frame = to_cyclic_frame(p)
-    e1, e2 = _complete_frame(frame.axis)
+    axis, cos_radius = frame.axis, frame.cos_radius
+    e1, e2 = _complete_frame(axis)
     start = math.atan2(float(p.vertices[0] @ e2), float(p.vertices[0] @ e1))
     run = circulant.iterate(spec, frame.gaps, np.full(p.n, _TWO_PI / p.n), tol, max_iter)
-    return RegularizationResult(frame.axis, frame.cos_radius, start, int(k), run)
+
+    # Closes over the axis and dot, not the frame: its gaps would duplicate run.start.
+    def decode(gaps: np.ndarray, m: int) -> SphericalPolygon:
+        return _ring(axis, cos_radius, euclid.vertex0_azimuth(start, run.start, gaps, m, k), gaps)
+
+    return circulant.Regularization(run, decode)
 
 
 def fit_small_circle(points) -> tuple[np.ndarray, float]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polyreg import circulant, hyperbolic, spherical
+from polyreg import circulant, euclid, hyperbolic, spherical
 from polyreg.circulant import CirculantSpec, NonContractingError
 
 SQRT3 = math.sqrt(3.0)
@@ -437,3 +437,54 @@ class TestProperties:
         assume(0.0 < factor < 1.0 - 1e-9 and deviation > tol)
         expect = math.ceil(math.log(tol / deviation) / math.log(factor))
         assert circulant.predict_iterations(spec, deviation, tol) == expect
+
+
+def plane_regularization(vertices):
+    t = euclid.PlaneTriangle(vertices)
+    return t, euclid.regularize(t, tol=1e-9, max_iter=200)
+
+
+def sphere_regularization():
+    gaps = np.random.default_rng(9).dirichlet(np.ones(9)) * 2 * math.pi
+    frame = spherical.CyclicFrame(axis=spherical.unit_vector([0.3, -0.5, 0.8]), cos_radius=0.4, gaps=gaps)
+    p = spherical.from_cyclic_frame(frame, start_azimuth=0.4)
+    return p, spherical.regularize(p, k=3, tol=1e-9, max_iter=10**4)
+
+
+def disk_regularization(n):
+    bp = hyperbolic.BoundaryPoints(tuple(np.sort(np.random.default_rng(n).random(2 * n))))
+    return bp, hyperbolic.regularize_hyperbolic(bp, tol=1e-9, max_iter=10**4)
+
+
+def coordinates(polygon) -> np.ndarray:
+    """A plane triangle, sphere polygon or disk boundary as one float array."""
+    if isinstance(polygon, euclid.PlaneTriangle):
+        return np.array([[z.real, z.imag] for z in polygon.vertices])
+    if isinstance(polygon, hyperbolic.BoundaryPoints):
+        return np.array(polygon.points)
+    return polygon.vertices
+
+
+# Decoding the start gaps rebuilds the input from its frame: within 3.4e-16
+# on these unit-scale inputs; the bound is fixed far above that.
+DECODE_TOL = 1e-9
+
+
+class TestRegularization:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: plane_regularization((0, 1, 1j)),
+            lambda: plane_regularization((0, 1j, 1)),
+            sphere_regularization,
+            lambda: disk_regularization(5),
+            lambda: disk_regularization(4),
+        ],
+        ids=["plane-ccw", "plane-cw", "sphere", "disk-odd", "disk-even"],
+    )
+    def test_steps_run_from_input_to_final(self, make):
+        polygon, result = make()
+        steps = list(result.steps())
+        assert result.converged and len(steps) == result.iterations + 1 > 1
+        assert np.max(np.abs(coordinates(steps[0]) - coordinates(polygon))) <= DECODE_TOL
+        assert np.array_equal(coordinates(steps[-1]), coordinates(result.final))

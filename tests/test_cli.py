@@ -226,6 +226,19 @@ def test_malformed_input_exits_2_with_error(capsys, tmp_path, payload, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("fmt", emit.FORMATS)
+def test_eigen_overflow_leaves_out_untouched(capsys, tmp_path, fmt):
+    inp = write_json(tmp_path / "spec.json", [1e308, 1e308])
+    fresh, kept = tmp_path / f"fresh.{fmt}", tmp_path / f"kept.{fmt}"
+    kept.write_bytes(b"earlier output\n")
+    for out in (fresh, kept):
+        code = cli.main(["eigen", "--spec", inp, "--out", str(out), "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err.startswith("error:") and captured.out == ""
+    assert not fresh.exists()
+    assert kept.read_bytes() == b"earlier output\n"
+
+
 class TestParserReuse:
     def test_format_does_not_carry_over(self, capsys, tmp_path):
         inp = write_json(tmp_path / "spec.json", [0.5, 0.5, 0.0])

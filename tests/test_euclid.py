@@ -211,7 +211,8 @@ class TestPlaneRun:
         # a clockwise triangle turns clockwise: it is the mirror image of
         # the run on its counter-clockwise mirror image
         t = PlaneTriangle(vertices)
-        run, final = euclid.regularize(t, tol=tol, max_iter=max_iter)
+        result = euclid.regularize(t, tol=tol, max_iter=max_iter)
+        run, final = result.run, result.final
         turn = euclid.circle_frame(t)[2]
         stepped = t if turn == 1 else mirror(t)
         for _ in range(run.iterations):
@@ -224,7 +225,7 @@ class TestPlaneRun:
 
     def test_gap_run_is_the_half_step_circulant(self):
         t = PlaneTriangle((0, 1, 1j))
-        run, _ = euclid.regularize(t, tol=1e-9, max_iter=200)
+        run = euclid.regularize(t, tol=1e-9, max_iter=200).run
         assert run.spec.coeffs == (0.5, 0.5, 0.0)
         assert np.array_equal(run.target, np.full(3, 2 * math.pi / 3))
         assert np.array_equal(run.start, euclid.angle_gaps(t)[2])

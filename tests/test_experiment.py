@@ -10,6 +10,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(k_values=(1,), trials=10, tol=0.005, cap=20, seed=1)
         with pytest.raises(ValueError):
+            ExperimentConfig(k_values=(2.5,), trials=10, tol=0.005, cap=20, seed=1)
+        with pytest.raises(ValueError):
             ExperimentConfig(k_values=(2,), trials=0, tol=0.005, cap=20, seed=1)
         with pytest.raises(ValueError):
             ExperimentConfig(k_values=(2,), trials=10, tol=-1.0, cap=20, seed=1)

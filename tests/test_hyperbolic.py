@@ -302,7 +302,7 @@ class TestRegularize:
 
     def test_anchor_point_held_fixed(self):
         result = hyperbolic.regularize_hyperbolic(HEX_EXAMPLE, tol=1e-10, max_iter=200)
-        for bp in result.boundaries:
+        for bp in result.steps():
             assert bp.points[0] == HEX_EXAMPLE.points[0]
 
     def test_zero_max_iter_reports_unconverged(self):
@@ -328,7 +328,7 @@ class TestRegularize:
 
     def test_polygons_materialize_per_step(self):
         result = hyperbolic.regularize_hyperbolic(HEX_EXAMPLE, tol=1e-6, max_iter=100)
-        polys = result.polygons()
+        polys = [hyperbolic.polygon_from_boundary(bp) for bp in result.steps()]
         assert len(polys) == result.iterations + 1 > 1
         assert all(len(p) == 3 for p in polys)
 

@@ -183,8 +183,9 @@ class TestStepK:
         stepped = circulant.apply(spherical.step_spec(6, 4), frame.gaps)
         assert math.fsum(stepped) == pytest.approx(TWO_PI, abs=1e-10)
         result = spherical.regularize(spherical.from_cyclic_frame(frame), k=4, tol=1e-9, max_iter=1)
-        assert np.allclose(result.axis, frame.axis, atol=1e-12)
-        assert result.cos_radius == pytest.approx(frame.cos_radius, abs=1e-12)
+        final_frame = spherical.to_cyclic_frame(result.final)
+        assert np.allclose(final_frame.axis, frame.axis, atol=1e-12)
+        assert final_frame.cos_radius == pytest.approx(frame.cos_radius, abs=1e-12)
         assert np.allclose(result.final.vertices @ frame.axis, frame.cos_radius, atol=1e-12)
 
 
@@ -242,7 +243,7 @@ class TestRegularize:
             assert np.max(np.abs(final[j] - want)) <= DECODE_TOL
         if result.iterations <= 400:
             vertex0 = poly.vertices[0]
-            for gaps, polygon in zip(steps, result.polygons):
+            for gaps, polygon in zip(steps, result.steps()):
                 assert np.max(np.abs(polygon.vertices[0] - vertex0)) <= DECODE_TOL
                 vertex0 = spherical.rotation_about_axis(axis, gaps[0] / k) @ vertex0
 
@@ -266,7 +267,7 @@ class TestRegularize:
         poly = spherical.from_cyclic_frame(frame, 0.0)
         result = spherical.regularize(poly, k=3, tol=1e-8, max_iter=200)
         assert result.converged
-        for step in result.polygons:
+        for step in result.steps():
             dots = step.vertices @ frame.axis
             assert np.max(np.abs(dots - frame.cos_radius)) < 1e-9
 
