@@ -73,9 +73,7 @@ class _Trace:
 def _cmd_regularize(args) -> dict:
     data = _load_json(args.input)
     if args.geometry == "plane":
-        if args.k != 2:
-            raise ValueError("plane regularization supports only k=2 (half-angle step)")
-        result = euclid.regularize(_plane_triangle(data), tol=args.tol, max_iter=args.max_iter)
+        result = euclid.regularize(_plane_triangle(data), k=args.k, tol=args.tol, max_iter=args.max_iter)
         outcome = {"final": _complex_pairs(result.final.vertices)}
     elif args.geometry == "sphere":
         polygon = spherical.SphericalPolygon(_sphere_points(data))

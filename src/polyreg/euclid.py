@@ -1,7 +1,7 @@
 """Euclidean baseline: the equilateral identity, the classical
-three-centers construction, circumcircles, the half-angle rotation run
-about the circumcenter, and the positions<->gaps codec that the plane,
-sphere and disk share.
+three-centers construction, circumcircles, the positions<->gaps codec that
+the plane, sphere and disk share, and the gap/k rotation run on a circle
+that the plane and sphere share.
 
 Points live in the complex plane; a triangle is an ordered triple.
 """
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,36 +140,59 @@ def vertex0_azimuth(start: float, gaps0: np.ndarray, gaps: np.ndarray, steps: in
     k, so the azimuth sum n*a_0 + sum_i (n-1-i)*g_i grows by sum(g)/k per
     step.  Reading a_0 back off that sum needs only the first and last gap
     vectors; the mean of their two sums stands in for the invariant sum(g)
-    and absorbs its rounding drift.  Shared by the plane and sphere decoders.
+    and absorbs its rounding drift.  Its one caller is rotate_on_circle's
+    decoder.
     """
     n = len(gaps)
     turned = steps * (math.fsum(gaps0) + math.fsum(gaps)) / (2 * k)
     return start + (turned - float(np.arange(n - 1, -1, -1) @ (gaps - gaps0))) / n
 
 
-def triangle_on_circle(center: complex, radius: float, start: float, gaps, turn) -> PlaneTriangle:
-    """Inverse of circle_frame: vertex 0 at azimuth start, the rest by gaps,
-    every angle measured in the direction of turn (ccw for +1)."""
-    az = turn * positions_from_gaps(start, gaps)
-    return PlaneTriangle(tuple(center + radius * cmath.exp(1j * a) for a in az))
+def step_spec(n: int, k: int) -> circulant.CirculantSpec:
+    """Circulant first row ((k-1)/k, 1/k, 0, ..., 0) of the rotation step.
 
-
-# Rotating each vertex by half its gap maps the gaps by the (1/2, 1/2, 0) circulant.
-_HALF_STEP = circulant.CirculantSpec((0.5, 0.5, 0.0))
-
-
-def regularize(t: PlaneTriangle, tol: float, max_iter: int) -> circulant.Regularization:
-    """Rotate every vertex about the circumcenter by half its gap until every
-    gap is within tol of 2*pi/3; the run decodes to PlaneTriangles.
-
-    The circumcircle never moves and the gap deviation halves every step,
-    so the triangle turns equilateral on its own circumcircle.
+    Rotating every vertex about the circle's center by its own gap over k
+    leaves the circle untouched and maps gap_j to
+    ((k-1)*gap_j + gap_{j+1}) / k.  Only integer k >= 2 contracts the gap
+    vector toward the regular one, smaller k is rejected.
     """
-    center, radius, turn, gaps = circle_frame(t)
-    start = turn * cmath.phase(t.vertices[0] - center)
-    run = circulant.iterate(_HALF_STEP, gaps, np.full(3, _TWO_PI / 3), tol, max_iter)
+    if int(k) != k or k < 2:
+        raise ValueError("k must be an integer >= 2")
+    coeffs = [0.0] * n
+    coeffs[0] = (k - 1) / k
+    coeffs[1] = 1 / k
+    return circulant.CirculantSpec(tuple(coeffs))
 
-    def decode(gaps: np.ndarray, m: int) -> PlaneTriangle:
-        return triangle_on_circle(center, radius, vertex0_azimuth(start, run.start, gaps, m, 2), gaps, turn)
+
+def rotate_on_circle(start: float, gaps: np.ndarray, k: int, tol: float, max_iter: int,
+                     place: Callable[[np.ndarray], object]) -> circulant.Regularization:
+    """Turn every vertex about the circle's center by its own gap over k
+    until every gap is within tol of 2*pi/n.
+
+    start is vertex 0's azimuth and gaps the ccw gaps, summing to 2*pi;
+    place maps the n vertex azimuths to the geometry's polygon.  The run
+    decodes vertex 0 in closed form and the rest by the gaps.
+    """
+    n = len(gaps)
+    run = circulant.iterate(step_spec(n, k), gaps, np.full(n, _TWO_PI / n), tol, max_iter)
+
+    def decode(gaps: np.ndarray, m: int):
+        return place(positions_from_gaps(vertex0_azimuth(start, run.start, gaps, m, k), gaps))
 
     return circulant.Regularization(run, decode)
+
+
+def regularize(t: PlaneTriangle, k: int, tol: float, max_iter: int) -> circulant.Regularization:
+    """Rotate every vertex about the circumcenter by its own gap over k until
+    every gap is within tol of 2*pi/3; the run decodes to PlaneTriangles.
+
+    The circumcircle never moves, so the triangle turns equilateral on its
+    own circumcircle.  A clockwise triangle runs as its ccw mirror image
+    and is mirrored back.
+    """
+    center, radius, turn, gaps = circle_frame(t)
+
+    def place(azimuths: np.ndarray) -> PlaneTriangle:
+        return PlaneTriangle(tuple(center + radius * cmath.exp(1j * a) for a in turn * azimuths))
+
+    return rotate_on_circle(turn * cmath.phase(t.vertices[0] - center), gaps, k, tol, max_iter, place)

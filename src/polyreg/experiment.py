@@ -30,6 +30,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.k_values or any(int(k) != k or k < 2 for k in self.k_values):
             raise ValueError("k values must be integers >= 2")
+        if any(int(x) != x for x in (self.trials, self.cap, self.seed)):
+            raise ValueError("trials, cap and seed must be integers")
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if not self.tol > 0:
@@ -39,7 +41,8 @@ class ExperimentConfig:
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
-        object.__setattr__(self, "seed", int(self.seed))
+        for name in ("trials", "cap", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass(frozen=True)

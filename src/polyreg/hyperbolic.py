@@ -10,7 +10,9 @@ moves the vertex to the centre and straightens its sides into diameters
 regularizing transform acts on the vector of boundary gaps b, averaging
 each gap with its same-parity neighbour: b_j -> (b_j + b_{j+2}) / 2.  Its
 limit alternates between the even and odd gap means, which makes the
-polygon's interior angles equal.
+polygon's interior angles equal, and no more: for odd n the limit polygon
+winds (n-1)/2 times about its centre, so it is convex only for n=3 (n=5
+gives a pentagram), and for even n every vertex collapses to the centre.
 """
 
 from __future__ import annotations
@@ -163,39 +165,3 @@ def is_ideal_limit(gaps: np.ndarray) -> bool:
     """
     odd_mean = math.fsum(gaps[1::2]) / (len(gaps) // 2)
     return odd_mean <= 1e-12
-
-
-def center_distance(r: float) -> float:
-    """Hyperbolic distance from the disk center to euclidean radius r."""
-    if not 0.0 <= r < 1.0:
-        raise ValueError("radius must lie in [0, 1)")
-    return math.log((1.0 + r) / (1.0 - r))
-
-
-def regular_triangle_via_polar(vertices) -> tuple[complex, complex, complex]:
-    """Equalize an origin-centered disk triangle through the plane map.
-
-    Radii and azimuths are read off as plain polar coordinates, the
-    three-centers construction is applied in the plane, and the resulting
-    equilateral triangle is re-centered at the origin: the output vertices
-    share one radius and sit 2*pi/3 apart, so their angles are equal by
-    rotational symmetry.  A construction landing at radius >= 1 is scaled
-    back into the disk (factor 0.9/r; only the common radius changes).
-    """
-    z = tuple(complex(w) for w in vertices)
-    if len(z) != 3:
-        raise ValueError("expected exactly three vertices")
-    radii = [abs(w) for w in z]
-    if max(radii) >= 1.0:
-        raise ValueError("vertices must lie strictly inside the unit disk")
-    if max(radii) - min(radii) > 1e-8:
-        raise ValueError("vertices must be concentric about the origin")
-    _, centers = euclid.napoleon(euclid.PlaneTriangle(z))
-    mean = sum(centers.vertices) / 3
-    offsets = [c - mean for c in centers.vertices]
-    radius = sum(abs(o) for o in offsets) / 3
-    if radius <= 1e-12:
-        raise ValueError("construction degenerates for this vertex orientation")
-    if radius >= 1.0:
-        radius = 0.9
-    return tuple(radius * (o / abs(o)) for o in offsets)

@@ -10,12 +10,14 @@ the gaps through a row-stochastic circulant while the frame stays fixed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import circulant, euclid
+from .euclid import step_spec  # the sphere's step, under the name callers use
 
 UNIT_TOL = 1e-12
 ADJACENT_TOL = 1e-9
@@ -201,58 +203,34 @@ def to_cyclic_frame(p: SphericalPolygon) -> CyclicFrame:
     return CyclicFrame(axis=axis, cos_radius=cos_radius, gaps=gaps)
 
 
-def _ring(axis: np.ndarray, cos_radius: float, start: float, gaps: np.ndarray) -> SphericalPolygon:
-    """Vertices on the circle of axis-dot cos_radius, vertex 0 at azimuth
-    start, the rest ccw by gaps."""
+def _ring(axis: np.ndarray, cos_radius: float, azimuths: np.ndarray) -> SphericalPolygon:
+    """Vertices on the circle of axis-dot cos_radius at the given azimuths."""
     e1, e2 = _complete_frame(axis)
     sin_radius = math.sqrt(max(0.0, 1.0 - cos_radius * cos_radius))
-    az = euclid.positions_from_gaps(start, gaps)
-    ring = np.outer(np.cos(az), e1) + np.outer(np.sin(az), e2)
+    ring = np.outer(np.cos(azimuths), e1) + np.outer(np.sin(azimuths), e2)
     return SphericalPolygon(cos_radius * axis + sin_radius * ring)
 
 
 def from_cyclic_frame(f: CyclicFrame, start_azimuth: float = 0.0) -> SphericalPolygon:
     """Rebuild vertices on the frame's circle, vertex 0 at start_azimuth."""
-    return _ring(f.axis, f.cos_radius, start_azimuth, f.gaps)
-
-
-def step_spec(n: int, k: int) -> circulant.CirculantSpec:
-    """Circulant first row ((k-1)/k, 1/k, 0, ..., 0) of the rotation step.
-
-    Rotating every vertex about the axis by its own gap over k leaves the
-    axis and circle untouched and maps gap_j to ((k-1)*gap_j + gap_{j+1}) / k.
-    Only integer k >= 2 contracts the gap vector toward the regular one,
-    smaller k is rejected.
-    """
-    if int(k) != k or k < 2:
-        raise ValueError("k must be an integer >= 2")
-    coeffs = [0.0] * n
-    coeffs[0] = (k - 1) / k
-    coeffs[1] = 1 / k
-    return circulant.CirculantSpec(tuple(coeffs))
+    return _ring(f.axis, f.cos_radius, euclid.positions_from_gaps(start_azimuth, f.gaps))
 
 
 def regularize(p: SphericalPolygon, k: int, tol: float, max_iter: int) -> circulant.Regularization:
-    """Rotate every vertex by its own gap over k until every gap is within
-    tol of 2*pi/n; the run decodes to SphericalPolygons, vertex 0 in
-    closed form.
+    """Rotate every vertex about the axis by its own gap over k
+    (euclid.rotate_on_circle) until every gap is within tol of 2*pi/n; the
+    run decodes to SphericalPolygons.
 
     The axis and the vertex-to-axis dots stay fixed over the whole run;
     only the gaps are iterated, through step_spec.  Raises NotCyclicError
     for inputs without a shared axis (fit and project those first).
     """
-    spec = step_spec(p.n, k)
     frame = to_cyclic_frame(p)
-    axis, cos_radius = frame.axis, frame.cos_radius
-    e1, e2 = _complete_frame(axis)
+    e1, e2 = _complete_frame(frame.axis)
     start = math.atan2(float(p.vertices[0] @ e2), float(p.vertices[0] @ e1))
-    run = circulant.iterate(spec, frame.gaps, np.full(p.n, _TWO_PI / p.n), tol, max_iter)
-
-    # Closes over the axis and dot, not the frame: its gaps would duplicate run.start.
-    def decode(gaps: np.ndarray, m: int) -> SphericalPolygon:
-        return _ring(axis, cos_radius, euclid.vertex0_azimuth(start, run.start, gaps, m, k), gaps)
-
-    return circulant.Regularization(run, decode)
+    # The decoder holds the axis and dot, not the frame: its gaps would duplicate run.start.
+    place = functools.partial(_ring, frame.axis, frame.cos_radius)
+    return euclid.rotate_on_circle(start, frame.gaps, k, tol, max_iter, place)
 
 
 def fit_small_circle(points) -> tuple[np.ndarray, float]:

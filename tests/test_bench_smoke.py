@@ -1,0 +1,34 @@
+"""Block 0 of each benchmark workload through the benchmark's own run,
+finish and check: a change to the package that breaks a name or an output
+the benchmark relies on fails here, not first in a benchmark run.
+
+Op outputs go to a temporary directory; nothing under bench/ is written.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no __pycache__ under bench/
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    return workloads
+
+
+@pytest.mark.parametrize("name", ["table1", "regularize", "cli"])
+def test_block_zero_checks_out(workloads, tmp_path, name):
+    workload = workloads.WORKLOADS[name](1, tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    ops = workload.block(0)
+    assert ops
+    for op in ops:
+        output = workload.finish(op, workload.run(op, out), out)
+        assert workload.check(op, output) is None, f"{op.kind} ({op.shape})"

@@ -441,7 +441,7 @@ class TestProperties:
 
 def plane_regularization(vertices):
     t = euclid.PlaneTriangle(vertices)
-    return t, euclid.regularize(t, tol=1e-9, max_iter=200)
+    return t, euclid.regularize(t, k=2, tol=1e-9, max_iter=200)
 
 
 def sphere_regularization():

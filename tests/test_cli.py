@@ -85,10 +85,19 @@ class TestRegularizeCommand:
         assert lines[0] == "iteration,deviation_max,deviation_l2,v_0,v_1,v_2"
         assert len(lines) == summary["iterations"] + 2
 
-    def test_plane_rejects_other_k(self, capsys, tmp_path):
-        inp = write_json(tmp_path / "t.json", [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        code, _ = run_cli(capsys, "regularize", "--geometry", "plane", "--input", inp, "--k", "3")
-        assert code == 2
+    def test_plane_k3_steps_like_the_two_thirds_circulant(self, capsys, tmp_path):
+        vertices = [[0.3, 0.1], [-2.0, 0.5], [0.7, -1.9]]
+        inp = write_json(tmp_path / "t.json", vertices)
+        code, out = run_cli(capsys, "regularize", "--geometry", "plane", "--input", inp,
+                            "--k", "3", "--tol", "1e-9", "--max-iter", "200")
+        assert code == 0
+        summary = json.loads(out)
+        gaps = euclid.circle_frame(PlaneTriangle(tuple(complex(x, y) for x, y in vertices)))[3]
+        spec, steps = circulant.CirculantSpec((2 / 3, 1 / 3, 0.0)), 0
+        while np.max(np.abs(gaps - 2 * math.pi / 3)) >= 1e-9:
+            gaps, steps = circulant.apply(spec, gaps), steps + 1
+        assert summary["converged"] is True
+        assert summary["iterations"] == steps > 0
 
     def test_sphere(self, capsys, tmp_path):
         s = math.sin(0.7)

@@ -17,15 +17,20 @@ def triangle_from_azimuths(azimuths, center=0j, radius=1.0):
     return PlaneTriangle(tuple(center + radius * cmath.exp(1j * a) for a in azimuths))
 
 
-def rotate_half_step(t):
-    """Reference: rotate each vertex about the circumcenter by half its ccw gap.
+def rotate_step(t, k):
+    """Reference: rotate each vertex about the circumcenter by its ccw gap over k.
 
-    The geometric step the plane run's (1/2, 1/2, 0) gap circulant stands
-    for; the circumcircle is untouched while the gap deviation halves.
+    The geometric step the plane run's ((k-1)/k, 1/k, 0) gap circulant
+    stands for; the circumcircle is untouched.
     """
     center, _, gaps = euclid.angle_gaps(t)
     z = t.vertices
-    return PlaneTriangle(tuple(center + (z[j] - center) * cmath.exp(1j * gaps[j] / 2) for j in range(3)))
+    return PlaneTriangle(tuple(center + (z[j] - center) * cmath.exp(1j * gaps[j] / k) for j in range(3)))
+
+
+def rotate_half_step(t):
+    """rotate_step at k=2: the gap deviation halves."""
+    return rotate_step(t, 2)
 
 
 def mirror(t):
@@ -169,7 +174,7 @@ class TestRotateHalfStep:
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateTriangleError):
-            euclid.regularize(PlaneTriangle((0, 1, 2)), tol=1e-9, max_iter=10)
+            euclid.regularize(PlaneTriangle((0, 1, 2)), k=2, tol=1e-9, max_iter=10)
 
 
 class TestCodec:
@@ -197,26 +202,29 @@ DECODE_TOL = 1e-9
 
 class TestPlaneRun:
     @pytest.mark.parametrize(
-        "vertices, tol, max_iter",
+        "vertices, tol, max_iter, k",
         [
-            ((0, 1, 1j), 1e-9, 200),
-            ((0, 1j, 1), 1e-9, 200),
-            ((0.3 + 0.1j, -2.0 + 0.5j, 0.7 - 1.9j), 1e-12, 200),
-            ((5 + 5j, 5.001 + 5j, 4 + 6j), 1e-300, 3000),
-            ((5 + 5j, 4 + 6j, 5.001 + 5j), 1e-300, 3000),
+            pytest.param(vertices, tol, max_iter, k, id=name if k == 2 else f"{name}-k{k}")
+            for vertices, tol, max_iter, name in [
+                ((0, 1, 1j), 1e-9, 200, "ccw"),
+                ((0, 1j, 1), 1e-9, 200, "cw"),
+                ((0.3 + 0.1j, -2.0 + 0.5j, 0.7 - 1.9j), 1e-12, 200, "scalene"),
+                ((5 + 5j, 5.001 + 5j, 4 + 6j), 1e-300, 3000, "thin-capped"),
+                ((5 + 5j, 4 + 6j, 5.001 + 5j), 1e-300, 3000, "thin-cw-capped"),
+            ]
+            for k in (2, 3, 5)
         ],
-        ids=["ccw", "cw", "scalene", "thin-capped", "thin-cw-capped"],
     )
-    def test_matches_geometric_rotation(self, vertices, tol, max_iter):
+    def test_matches_geometric_rotation(self, vertices, tol, max_iter, k):
         # a clockwise triangle turns clockwise: it is the mirror image of
         # the run on its counter-clockwise mirror image
         t = PlaneTriangle(vertices)
-        result = euclid.regularize(t, tol=tol, max_iter=max_iter)
+        result = euclid.regularize(t, k=k, tol=tol, max_iter=max_iter)
         run, final = result.run, result.final
         turn = euclid.circle_frame(t)[2]
         stepped = t if turn == 1 else mirror(t)
         for _ in range(run.iterations):
-            stepped = rotate_half_step(stepped)
+            stepped = rotate_step(stepped, k)
         stepped = stepped if turn == 1 else mirror(stepped)
         assert run.converged or run.iterations == max_iter
         _, radius = euclid.circumcenter(t)
@@ -225,7 +233,7 @@ class TestPlaneRun:
 
     def test_gap_run_is_the_half_step_circulant(self):
         t = PlaneTriangle((0, 1, 1j))
-        run = euclid.regularize(t, tol=1e-9, max_iter=200).run
+        run = euclid.regularize(t, k=2, tol=1e-9, max_iter=200).run
         assert run.spec.coeffs == (0.5, 0.5, 0.0)
         assert np.array_equal(run.target, np.full(3, 2 * math.pi / 3))
         assert np.array_equal(run.start, euclid.angle_gaps(t)[2])

@@ -20,6 +20,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(k_values=(2,), trials=10, tol=0.005, cap=20, seed=-1)
 
+    @pytest.mark.parametrize("field", ["seed", "trials", "cap"])
+    def test_non_integral_count_rejected(self, field):
+        fields = dict(k_values=(2,), trials=10, tol=0.005, cap=20, seed=1)
+        fields[field] += 0.5
+        with pytest.raises(ValueError):
+            ExperimentConfig(**fields)
+
 
 class TestRandomTriangle:
     def test_deterministic_for_fixed_seed(self):

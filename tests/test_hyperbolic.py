@@ -199,6 +199,17 @@ class TestPolygonFromBoundary:
             assert len(verts) == n
             assert max(abs(z) for z in verts) <= 1e-7
 
+    @pytest.mark.parametrize("n, winding", [(3, -1), (5, -2), (7, -3), (9, -4)])
+    def test_odd_n_limit_is_a_star(self, n, winding):
+        # the limit's interior angles are equal, but it winds (n-1)/2 times
+        # about the center (clockwise): a pentagram for n=5, convex only for n=3
+        bp = alternating_boundary(0.7 / n, n=n)
+        verts = hyperbolic.polygon_from_boundary(bp)
+        turns = math.fsum(cmath.phase(b / a) for a, b in zip(verts, verts[1:] + verts[:1]))
+        assert turns / (2 * math.pi) == pytest.approx(winding, abs=1e-9)
+        angles = hyperbolic.interior_angles(bp)
+        assert max(angles) - min(angles) <= 1e-12
+
     def test_octagon_boundary(self):
         gaps = np.array([0.2, 0.1, 0.1, 0.1, 0.2, 0.1, 0.1, 0.1])
         bp = hyperbolic.points_from_gaps(gaps)
@@ -367,34 +378,3 @@ class TestIdealLimit:
 
     def test_hand_example_not_ideal(self):
         assert not hyperbolic.is_ideal_limit(np.array([0.3, 0.1, 0.2, 0.1, 0.2, 0.1]))
-
-
-class TestPolarConstruction:
-    def test_regular_input_stays_regular(self):
-        z = tuple(0.5 * cmath.exp(1j * (0.4 + 2 * math.pi * j / 3)) for j in range(3))
-        out = hyperbolic.regular_triangle_via_polar(z)
-        rot = cmath.exp(2j * math.pi / 3)
-        residual = max(abs(out[(j + 1) % 3] - rot * out[j]) for j in range(3))
-        assert residual < 1e-10
-
-    def test_scalene_input_becomes_rotation_invariant(self):
-        z = tuple(0.5 * cmath.exp(1j * a) for a in (0.0, 2.0, 4.4))
-        out = hyperbolic.regular_triangle_via_polar(z)
-        rot = cmath.exp(2j * math.pi / 3)
-        residual = max(abs(out[(j + 1) % 3] - rot * out[j]) for j in range(3))
-        assert residual < 1e-10
-        radii = [abs(w) for w in out]
-        assert max(radii) - min(radii) < 1e-12
-        assert max(radii) < 1.0
-
-    def test_non_concentric_rejected(self):
-        with pytest.raises(ValueError):
-            hyperbolic.regular_triangle_via_polar((0.5, 0.3j, -0.5))
-
-    def test_center_distance_monotone(self):
-        rs = np.linspace(0.0, 0.95, 40)
-        ds = [hyperbolic.center_distance(float(r)) for r in rs]
-        assert ds[0] == 0.0
-        assert all(b > a for a, b in zip(ds, ds[1:]))
-        with pytest.raises(ValueError):
-            hyperbolic.center_distance(1.0)
