@@ -118,7 +118,7 @@ def classify(transform: LinearAngleTransform) -> ClassificationReport:
     a = transform.entries
     n = transform.n
     ones = np.ones(n)
-    preserves_sum = bool(np.max(np.abs(a @ ones - ones)) <= 1e-10)
+    preserves_sum = bool(np.max(np.abs(ones @ a - ones)) <= 1e-10)  # column sums 1
     regular = ones / n
     fixes_regular = bool(np.max(np.abs(a @ regular - regular)) <= 1e-10)
 

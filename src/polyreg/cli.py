@@ -6,8 +6,9 @@ constructions), fit (small-circle fit), analyze (angle-transform
 classification) and experiment table1 (seeded convergence statistics).
 Inputs are JSON files.  Subcommands return their payload; main writes it
 to --out and to stdout as strict JSON, and any failure exits 2 with an
-`error:` line.  A payload that is not strict JSON fails before --out is
-opened.  regularize streams its --trace file itself.
+`error:` line; a float overflow or invalid operation inside a subcommand
+raises, so it fails the same way.  A payload that is not strict JSON fails
+before --out is opened.  regularize streams its --trace file itself.
 """
 
 from __future__ import annotations
@@ -99,8 +100,6 @@ def _cmd_regularize(args) -> dict:
 def _cmd_eigen(args) -> list[dict]:
     coeffs = _float_array(_load_json(args.spec), (None,), "spec must be a JSON array of numbers")
     spec = circulant.CirculantSpec(tuple(coeffs))
-    with np.errstate(over="ignore", invalid="ignore"):  # main rejects a non-finite spectrum
-        spectrum = circulant.eigenvalues(spec)
     return [
         {
             "index": e.index,
@@ -109,7 +108,7 @@ def _cmd_eigen(args) -> list[dict]:
             "modulus": e.modulus,
             "angle": e.angle,
         }
-        for e in spectrum
+        for e in circulant.eigenvalues(spec)
     ]
 
 
@@ -224,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        payload = args.func(args)
+        with np.errstate(over="raise", invalid="raise"):
+            payload = args.func(args)
         text = json.dumps(payload, indent=2, allow_nan=False)
         out, columns = getattr(args, "out", None), getattr(args, "columns", None)
         if out and columns:
@@ -232,7 +232,7 @@ def main(argv=None) -> int:
         elif out:
             emit.write_json(out, payload)
         print(text)
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -4,8 +4,10 @@ small-circle fitting with geodesic projection, and the chordal
 three-centers construction.
 
 Points are unit 3-vectors.  A cyclic polygon is reduced to a frame
-(axis, common axis-dot, ccw angle gaps); the regularizing step acts on
-the gaps through a row-stochastic circulant while the frame stays fixed.
+(axis, common axis-dot, ccw angle gaps, vertex 0's azimuth) and rebuilt
+from it exactly; the regularizing step acts on the gaps through a
+row-stochastic circulant while the circle stays fixed.  Every guard is
+written so that NaN fails it.
 """
 
 from __future__ import annotations
@@ -34,22 +36,23 @@ class DegenerateConfigurationError(ValueError):
 
 
 def unit_vector(v) -> np.ndarray:
-    """Normalize to a unit 3-vector; rejects near-zero input."""
+    """Normalize to a unit 3-vector; rejects near-zero and non-finite input."""
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError("expected a 3-vector")
     norm = float(np.linalg.norm(v))
-    if norm < 1e-12:
-        raise DegenerateConfigurationError("cannot normalize a near-zero vector")
+    if not 1e-12 <= norm < math.inf:
+        raise DegenerateConfigurationError("cannot normalize a near-zero or non-finite vector")
     return v / norm
 
 
-def _check_unit(v, name: str = "point") -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector")
-    if abs(float(np.linalg.norm(v)) - 1.0) > UNIT_TOL:
-        raise ValueError(f"{name} must be a unit vector")
+def _unit_rows(points, name: str) -> np.ndarray:
+    """points as a fresh (m, 3) float array whose rows are unit vectors."""
+    v = np.array(points, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 3:
+        raise ValueError(f"{name} must be [x, y, z] coordinates")
+    if not np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= UNIT_TOL):
+        raise ValueError(f"{name} must have unit length")
     return v
 
 
@@ -60,11 +63,9 @@ class SphericalPolygon:
     vertices: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.array(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] < 3:
-            raise ValueError("polygon needs an (n, 3) array with n >= 3")
-        if np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) > UNIT_TOL:
-            raise ValueError("vertices must be unit vectors")
+        v = _unit_rows(self.vertices, "vertices")
+        if v.shape[0] < 3:
+            raise ValueError("polygon needs at least three vertices")
         nxt = np.roll(v, -1, axis=0)
         if np.min(np.linalg.norm(nxt - v, axis=1)) <= ADJACENT_TOL:
             raise ValueError("adjacent vertices must be distinct")
@@ -80,38 +81,38 @@ class SphericalPolygon:
 
 @dataclass(frozen=True)
 class CyclicFrame:
-    """Circumcircle axis, common axis-dot value, and ccw angle gaps.
+    """Circumcircle axis, common axis-dot value, ccw angle gaps, and the
+    azimuth of vertex 0.
 
     The gaps are the azimuthal angles between consecutive vertices about
-    the axis, each in (0, 2*pi) and summing to 2*pi.
+    the axis, each in (0, 2*pi) and summing to 2*pi; start is vertex 0's
+    azimuth in the axis's _complete_frame basis.
     """
 
     axis: np.ndarray
     cos_radius: float
     gaps: np.ndarray
+    start: float = 0.0
 
     def __post_init__(self) -> None:
-        axis = np.array(self.axis, dtype=float)
-        if axis.shape != (3,) or abs(float(np.linalg.norm(axis)) - 1.0) > UNIT_TOL:
-            raise ValueError("axis must be a unit 3-vector")
+        axis = _unit_rows([self.axis], "axis")[0]
         if not -1.0 < self.cos_radius < 1.0:
             raise ValueError("cos_radius must lie strictly inside (-1, 1)")
         gaps = np.array(self.gaps, dtype=float)
         if gaps.ndim != 1 or gaps.shape[0] < 3:
             raise ValueError("need at least three gaps")
-        if np.min(gaps) <= 0.0 or np.max(gaps) >= _TWO_PI:
+        if not np.all((gaps > 0.0) & (gaps < _TWO_PI)):
             raise ValueError("each gap must lie in (0, 2*pi)")
-        if abs(math.fsum(gaps) - _TWO_PI) > 1e-10:
+        if not abs(math.fsum(gaps) - _TWO_PI) <= 1e-10:
             raise ValueError("gaps must sum to 2*pi")
+        if not math.isfinite(self.start):
+            raise ValueError("start must be finite")
         axis.setflags(write=False)
         gaps.setflags(write=False)
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "gaps", gaps)
         object.__setattr__(self, "cos_radius", float(self.cos_radius))
-
-    @property
-    def n(self) -> int:
-        return int(self.gaps.shape[0])
+        object.__setattr__(self, "start", float(self.start))
 
 
 def rotation_about_axis(axis, angle: float) -> np.ndarray:
@@ -120,9 +121,7 @@ def rotation_about_axis(axis, angle: float) -> np.ndarray:
     Counter-clockwise when viewed from the axis tip: for axis e3 the angle
     pi/2 maps e1 to e2.
     """
-    axis = np.asarray(axis, dtype=float)
-    if axis.shape != (3,) or abs(float(np.linalg.norm(axis)) - 1.0) > UNIT_TOL:
-        raise ValueError("axis must be a unit 3-vector")
+    axis = _unit_rows([axis], "axis")[0]
     x, y, z = axis
     k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
     c, s = math.cos(angle), math.sin(angle)
@@ -136,7 +135,7 @@ def circumcenter_triangle(z0, z1, z2) -> np.ndarray:
     counter-clockwise about the returned axis; the common dot product is
     negative when the triple is ordered clockwise around its near pole.
     """
-    z0, z1, z2 = (_check_unit(z) for z in (z0, z1, z2))
+    z0, z1, z2 = _unit_rows([z0, z1, z2], "points")
     cross = np.cross(z1 - z0, z2 - z0)
     norm = float(np.linalg.norm(cross))
     span = max(
@@ -144,7 +143,7 @@ def circumcenter_triangle(z0, z1, z2) -> np.ndarray:
         float(np.linalg.norm(z2 - z0)),
         float(np.linalg.norm(z2 - z1)),
     )
-    if norm <= 1e-12 * max(span * span, 1e-30):
+    if not norm > 1e-12 * max(span * span, 1e-30):
         raise DegenerateConfigurationError(
             "vertex differences do not span a plane; no circumcircle"
         )
@@ -181,7 +180,8 @@ def _candidate_axis(vertices: np.ndarray) -> np.ndarray:
 
 
 def to_cyclic_frame(p: SphericalPolygon) -> CyclicFrame:
-    """Axis, common dot value and ccw gaps of a cyclic polygon.
+    """Axis, common dot value, ccw gaps and vertex 0's azimuth of a cyclic
+    polygon; from_cyclic_frame inverts it.
 
     For triangles the axis is constructed outright; for larger polygons a
     shared axis must already exist: all vertex dots against the candidate
@@ -192,15 +192,16 @@ def to_cyclic_frame(p: SphericalPolygon) -> CyclicFrame:
     v = p.vertices
     axis = _candidate_axis(v)
     dots = v @ axis
-    if float(np.max(dots) - np.min(dots)) > CYCLIC_TOL:
+    if not float(np.max(dots) - np.min(dots)) <= CYCLIC_TOL:
         raise NotCyclicError("vertices are not equidistant from a common axis")
     cos_radius = float(np.mean(dots))
     if not -1.0 + 1e-12 < cos_radius < 1.0 - 1e-12:
         raise DegenerateConfigurationError("circumscribed circle degenerates to a point")
-    gaps = euclid.cyclic_gaps(_azimuths(axis, v))
-    if abs(math.fsum(gaps) - _TWO_PI) > 1e-6:
+    azimuths = _azimuths(axis, v)
+    gaps = euclid.cyclic_gaps(azimuths)
+    if not abs(math.fsum(gaps) - _TWO_PI) <= 1e-6:
         raise NotCyclicError("vertices do not wind once counter-clockwise about the axis")
-    return CyclicFrame(axis=axis, cos_radius=cos_radius, gaps=gaps)
+    return CyclicFrame(axis=axis, cos_radius=cos_radius, gaps=gaps, start=float(azimuths[0]))
 
 
 def _ring(axis: np.ndarray, cos_radius: float, azimuths: np.ndarray) -> SphericalPolygon:
@@ -211,9 +212,9 @@ def _ring(axis: np.ndarray, cos_radius: float, azimuths: np.ndarray) -> Spherica
     return SphericalPolygon(cos_radius * axis + sin_radius * ring)
 
 
-def from_cyclic_frame(f: CyclicFrame, start_azimuth: float = 0.0) -> SphericalPolygon:
-    """Rebuild vertices on the frame's circle, vertex 0 at start_azimuth."""
-    return _ring(f.axis, f.cos_radius, euclid.positions_from_gaps(start_azimuth, f.gaps))
+def from_cyclic_frame(f: CyclicFrame) -> SphericalPolygon:
+    """Rebuild the vertices on the frame's circle; inverts to_cyclic_frame."""
+    return _ring(f.axis, f.cos_radius, euclid.positions_from_gaps(f.start, f.gaps))
 
 
 def regularize(p: SphericalPolygon, k: int, tol: float, max_iter: int) -> circulant.Regularization:
@@ -226,11 +227,9 @@ def regularize(p: SphericalPolygon, k: int, tol: float, max_iter: int) -> circul
     for inputs without a shared axis (fit and project those first).
     """
     frame = to_cyclic_frame(p)
-    e1, e2 = _complete_frame(frame.axis)
-    start = math.atan2(float(p.vertices[0] @ e2), float(p.vertices[0] @ e1))
     # The decoder holds the axis and dot, not the frame: its gaps would duplicate run.start.
     place = functools.partial(_ring, frame.axis, frame.cos_radius)
-    return euclid.rotate_on_circle(start, frame.gaps, k, tol, max_iter, place)
+    return euclid.rotate_on_circle(frame.start, frame.gaps, k, tol, max_iter, place)
 
 
 def fit_small_circle(points) -> tuple[np.ndarray, float]:
@@ -240,7 +239,7 @@ def fit_small_circle(points) -> tuple[np.ndarray, float]:
     least-squares plane (eigenvector of the smallest second-moment
     eigenvalue of the centered points), oriented so the mean dot is >= 0.
     """
-    pts = np.array([_check_unit(p) for p in points], dtype=float)
+    pts = _unit_rows(points, "points")
     if pts.shape[0] < 3:
         raise ValueError("need at least three points")
     centered = pts - pts.mean(axis=0)
@@ -260,19 +259,16 @@ def project_to_circle(points, axis, cos_radius: float) -> SphericalPolygon:
     Azimuths about the axis are preserved; a point sitting at the axis has
     no azimuth and is rejected.
     """
-    axis = _check_unit(axis, "axis")
+    axis = _unit_rows([axis], "axis")[0]
     if not -1.0 < cos_radius < 1.0:
         raise ValueError("cos_radius must lie strictly inside (-1, 1)")
+    pts = _unit_rows(points, "points")
+    tangential = pts - np.outer(pts @ axis, axis)
+    norms = np.linalg.norm(tangential, axis=1)
+    if not np.all(norms > 1e-12):
+        raise DegenerateConfigurationError("point at the axis has no azimuth")
     sin_radius = math.sqrt(1.0 - cos_radius * cos_radius)
-    projected = []
-    for p in points:
-        p = _check_unit(p)
-        tangential = p - float(p @ axis) * axis
-        norm = float(np.linalg.norm(tangential))
-        if norm <= 1e-12:
-            raise DegenerateConfigurationError("point at the axis has no azimuth")
-        projected.append(cos_radius * axis + sin_radius * tangential / norm)
-    return SphericalPolygon(np.array(projected))
+    return SphericalPolygon(cos_radius * axis + sin_radius * tangential / norms[:, None])
 
 
 def napoleon_sphere(z0, z1, z2) -> SphericalPolygon:
@@ -287,7 +283,7 @@ def napoleon_sphere(z0, z1, z2) -> SphericalPolygon:
     regular about the original axis (nor about its own); the regression
     tests record this behaviour.
     """
-    z0, z1, z2 = (_check_unit(z) for z in (z0, z1, z2))
+    z0, z1, z2 = _unit_rows([z0, z1, z2], "points")
     axis = circumcenter_triangle(z0, z1, z2)
     cos_radius = float(axis @ z0)
     if cos_radius <= 0.0:

@@ -124,3 +124,14 @@ class TestAgreementWithEngine:
         report = classify(LinearAngleTransform(spec.as_matrix()))
         assert not report.attracting
         assert report.jordan_class == "non-contracting"
+
+
+class TestSumPreservation:
+    def test_row_stochastic_is_not_sum_preserving(self):
+        # rows sum to 1, so A fixes the regular vector; the columns do not,
+        # so the sum of A @ (1, 2, 3) is 4.9, not 6
+        a = np.array([[0.5, 0.5, 0.0], [0.9, 0.1, 0.0], [0.2, 0.3, 0.5]])
+        assert math.fsum(a @ [1.0, 2.0, 3.0]) == pytest.approx(4.9, abs=1e-12)
+        report = classify(LinearAngleTransform(a))
+        assert not report.preserves_sum
+        assert report.fixes_regular

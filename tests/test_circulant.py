@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -447,7 +448,7 @@ def plane_regularization(vertices):
 def sphere_regularization():
     gaps = np.random.default_rng(9).dirichlet(np.ones(9)) * 2 * math.pi
     frame = spherical.CyclicFrame(axis=spherical.unit_vector([0.3, -0.5, 0.8]), cos_radius=0.4, gaps=gaps)
-    p = spherical.from_cyclic_frame(frame, start_azimuth=0.4)
+    p = spherical.from_cyclic_frame(dataclasses.replace(frame, start=0.4))
     return p, spherical.regularize(p, k=3, tol=1e-9, max_iter=10**4)
 
 

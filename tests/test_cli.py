@@ -222,10 +222,15 @@ SPHERE_TRIANGLE = [[0.6, 0.0, 0.8], [-0.6, 0.0, 0.8], [0.0, -0.6, 0.8]]
         (HEXAGON, ["regularize", "--tol", "nan", "--geometry", "hyperbolic", "--input"]),
         ([1e308, 1e308], ["eigen", "--spec"]),
         ([[1e200, 0], [0, 1e200], [-1e200, 0]], ["regularize", "--geometry", "plane", "--input"]),
+        ([[1e308, 1e308], [1e308, 1e308]], ["analyze", "--matrix"]),
+        ([[1e200, 0, 0], [0, 1, 0], [0, 0, 1]], ["regularize", "--geometry", "sphere", "--input"]),
+        (SPHERE_TRIANGLE + [[0.0, 0.6, 0.8]], ["napoleon", "--geometry", "sphere", "--input"]),
+        (HEXAGON, ["regularize", "--k", "3", "--geometry", "hyperbolic", "--input"]),
     ],
     ids=["plane-column", "napoleon-column", "hyperbolic-column", "eigen-nested",
          "analyze-object", "plane-max-iter", "sphere-max-iter", "hyperbolic-max-iter",
-         "plane-tol-nan", "hyperbolic-tol-nan", "eigen-overflow", "plane-overflow"],
+         "plane-tol-nan", "hyperbolic-tol-nan", "eigen-overflow", "plane-overflow",
+         "analyze-overflow", "sphere-overflow", "napoleon-sphere-four", "hyperbolic-k3"],
 )
 def test_malformed_input_exits_2_with_error(capsys, tmp_path, payload, argv):
     code = cli.main(argv + [write_json(tmp_path / "in.json", payload)])

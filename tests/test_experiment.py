@@ -110,3 +110,25 @@ class TestRunTable1:
         config = ExperimentConfig(k_values=(2, 5), trials=60, tol=0.005, cap=20, seed=77)
         rows = run_table1(config)
         assert rows[1].mean_iterations > rows[0].mean_iterations
+
+
+class _ScriptedGenerator:
+    """Stands in for a Generator: standard_normal returns the scripted draws in order."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def standard_normal(self, shape):
+        draw = np.array(self.draws.pop(0), dtype=float)
+        assert draw.shape == shape
+        return draw
+
+
+def test_degenerate_draws_are_redrawn():
+    near_zero = [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    repeated = [[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]  # adjacent equal after normalizing
+    good = [[3.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]]
+    rng = _ScriptedGenerator(near_zero, repeated, good)
+    tri = random_spherical_triangle(rng)
+    assert rng.draws == []
+    assert np.array_equal(tri.vertices, np.eye(3))

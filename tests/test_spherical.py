@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -130,7 +131,7 @@ class TestCyclicFrame:
             frame = CyclicFrame(axis=spherical.unit_vector(rng.normal(size=3)),
                                 cos_radius=rng.uniform(-0.7, 0.7),
                                 gaps=gaps)
-            poly = spherical.from_cyclic_frame(frame, start_azimuth=rng.uniform(0, TWO_PI))
+            poly = spherical.from_cyclic_frame(dataclasses.replace(frame, start=rng.uniform(0, TWO_PI)))
             back = spherical.to_cyclic_frame(poly)
             assert np.allclose(back.gaps, frame.gaps, atol=1e-10)
             assert back.cos_radius == pytest.approx(frame.cos_radius, abs=1e-12)
@@ -250,7 +251,7 @@ class TestRegularize:
     def test_square_converges_within_prediction(self):
         gaps = np.array([2.5, 1.5, 1.5, TWO_PI - 5.5])
         frame = CyclicFrame(axis=E3, cos_radius=0.4, gaps=gaps)
-        poly = spherical.from_cyclic_frame(frame, start_azimuth=0.2)
+        poly = spherical.from_cyclic_frame(dataclasses.replace(frame, start=0.2))
         spec = spherical.step_spec(4, 2)
         predicted = circulant.predict_iterations(
             spec, float(np.linalg.norm(gaps - TWO_PI / 4)), 1e-9
@@ -264,7 +265,7 @@ class TestRegularize:
         frame = CyclicFrame(axis=spherical.unit_vector(rng.normal(size=3)),
                             cos_radius=0.55,
                             gaps=random_gaps(rng, 5))
-        poly = spherical.from_cyclic_frame(frame, 0.0)
+        poly = spherical.from_cyclic_frame(frame)
         result = spherical.regularize(poly, k=3, tol=1e-8, max_iter=200)
         assert result.converged
         for step in result.steps():
@@ -276,7 +277,7 @@ class TestRegularize:
         frame = CyclicFrame(axis=spherical.unit_vector(rng.normal(size=3)),
                             cos_radius=-0.3,
                             gaps=random_gaps(rng, 6))
-        poly = spherical.from_cyclic_frame(frame, 1.1)
+        poly = spherical.from_cyclic_frame(dataclasses.replace(frame, start=1.1))
         tol = 1e-8
         result = spherical.regularize(poly, k=2, tol=tol, max_iter=300)
         assert result.converged
@@ -401,3 +402,122 @@ class TestIsRegular:
             for _ in range(n):
                 acc = rot @ acc
             assert np.allclose(acc, np.eye(3), atol=1e-12)
+
+
+NAN = float("nan")
+NAN_POINT = [NAN, 0.0, 0.0]
+GOOD_GAPS = np.full(3, TWO_PI / 3)
+
+
+class TestRejections:
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [E1, E2],
+            [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]],
+            [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]],
+            [E1, E1, E2],
+            [E1, -E1, E2],
+        ],
+        ids=["two-vertices", "2d-points", "non-unit", "repeated", "antipodal"],
+    )
+    def test_polygon_guards(self, vertices):
+        with pytest.raises(ValueError):
+            SphericalPolygon(vertices)
+
+    @pytest.mark.parametrize(
+        "axis, gaps",
+        [
+            ([1.0, 1.0, 0.0], GOOD_GAPS),
+            (E3, np.full(2, math.pi)),
+            (E3, [TWO_PI + 1.0, -0.5, -0.5]),
+        ],
+        ids=["non-unit-axis", "two-gaps", "gap-out-of-range"],
+    )
+    def test_frame_guards(self, axis, gaps):
+        with pytest.raises(ValueError):
+            CyclicFrame(axis=axis, cos_radius=0.5, gaps=gaps)
+
+    def test_unit_vector_rejects_near_zero(self):
+        with pytest.raises(DegenerateConfigurationError):
+            spherical.unit_vector([1e-13, 0.0, 0.0])
+
+    def test_circle_shrunk_to_a_point(self):
+        # polar angle 1e-7: the vertices are distinct, but the axis dot is
+        # within 1e-12 of 1
+        poly = ring_polygon(E3, 1e-7, [0.0, 2.0, 4.0])
+        with pytest.raises(DegenerateConfigurationError):
+            spherical.to_cyclic_frame(poly)
+
+    def test_axis_from_a_later_triple(self):
+        # vertices 0 and 2 coincide, so the first triple has no circumcircle
+        # and the axis comes from vertices 1, 2, 3; the polygon then winds
+        # zero times about it
+        b, d = spherical.unit_vector([0.0, 1.0, 0.2]), spherical.unit_vector([0.0, -1.0, 0.3])
+        vertices = np.array([E1, b, E1, d])
+        axis = spherical._candidate_axis(vertices)
+        assert np.array_equal(axis, spherical.circumcenter_triangle(b, E1, d))
+        with pytest.raises(NotCyclicError):
+            spherical.to_cyclic_frame(SphericalPolygon(vertices))
+        with pytest.raises(DegenerateConfigurationError):
+            spherical.to_cyclic_frame(SphericalPolygon([E1, b, E1, b]))
+
+    def test_fit_needs_three_points(self):
+        with pytest.raises(ValueError):
+            spherical.fit_small_circle([E1, E2])
+
+    def test_project_onto_the_pole_rejected(self):
+        with pytest.raises(ValueError):
+            spherical.project_to_circle([E1, E2, -E1], E3, 1.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: SphericalPolygon([NAN_POINT, E2, E3]),
+            lambda: CyclicFrame(axis=[NAN] * 3, cos_radius=0.3, gaps=[NAN] * 3),
+            lambda: CyclicFrame(axis=E3, cos_radius=0.3, gaps=[NAN, 1.0, 1.0]),
+            lambda: CyclicFrame(axis=E3, cos_radius=NAN, gaps=GOOD_GAPS),
+            lambda: CyclicFrame(axis=E3, cos_radius=0.3, gaps=GOOD_GAPS, start=NAN),
+            lambda: spherical.unit_vector(NAN_POINT),
+            lambda: spherical.rotation_about_axis(NAN_POINT, 1.0),
+            lambda: spherical.circumcenter_triangle(NAN_POINT, E2, E3),
+            lambda: spherical.step_spec(3, NAN),
+            lambda: spherical.regularize(SphericalPolygon([E1, E2, E3]), k=2, tol=NAN, max_iter=5),
+            lambda: spherical.fit_small_circle([NAN_POINT, E1, E2, E3]),
+            lambda: spherical.project_to_circle([NAN_POINT, E1, E2], E3, 0.5),
+            lambda: spherical.project_to_circle([E1, E2, -E1], NAN_POINT, 0.5),
+            lambda: spherical.project_to_circle([E1, E2, -E1], E3, NAN),
+            lambda: spherical.napoleon_sphere(NAN_POINT, E2, E3),
+        ],
+        ids=["polygon", "frame", "frame-gaps", "frame-cos-radius", "frame-start",
+             "unit-vector", "rotation-axis", "circumcenter", "step-spec", "regularize-tol",
+             "fit", "project-points", "project-axis", "project-cos-radius", "napoleon"],
+    )
+    def test_nan_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+
+class TestFrameRoundTrip:
+    @pytest.mark.parametrize("orientation", ["ccw", "cw"])
+    def test_polygon_frame_polygon(self, orientation):
+        rng = np.random.default_rng(41)
+        for n in range(3, 65):
+            azimuths = np.cumsum(random_gaps(rng, n, floor=0.2 / n)) + rng.uniform(-math.pi, math.pi)
+            poly = ring_polygon(spherical.unit_vector(rng.normal(size=3)), rng.uniform(0.3, 2.8), azimuths)
+            if orientation == "cw":
+                poly = SphericalPolygon(poly.vertices[::-1])
+            back = spherical.from_cyclic_frame(spherical.to_cyclic_frame(poly))
+            assert np.max(np.abs(back.vertices - poly.vertices)) <= 1e-12, n
+
+    def test_frame_polygon_frame(self):
+        rng = np.random.default_rng(43)
+        for n in range(3, 65):
+            frame = CyclicFrame(axis=spherical.unit_vector(rng.normal(size=3)),
+                                cos_radius=rng.uniform(-0.9, 0.9),
+                                gaps=random_gaps(rng, n, floor=0.2 / n),
+                                start=rng.uniform(-10.0, 10.0))
+            back = spherical.to_cyclic_frame(spherical.from_cyclic_frame(frame))
+            assert np.max(np.abs(back.gaps - frame.gaps)) <= 1e-12, n
+            turn = (back.start - frame.start + math.pi) % TWO_PI - math.pi
+            assert abs(turn) <= 1e-12, n
