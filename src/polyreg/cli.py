@@ -4,11 +4,12 @@ Subcommands: regularize (plane / sphere / hyperbolic, with optional
 iteration trace), eigen (circulant spectrum), napoleon (one-shot
 constructions), fit (small-circle fit), analyze (angle-transform
 classification) and experiment table1 (seeded convergence statistics).
-Inputs are JSON files.  Subcommands return their payload; main writes it
-to --out and to stdout as strict JSON, and any failure exits 2 with an
-`error:` line; a float overflow or invalid operation inside a subcommand
-raises, so it fails the same way.  A payload that is not strict JSON fails
-before --out is opened.  regularize streams its --trace file itself.
+Inputs are JSON files.  Subcommands return their payload; main encodes it
+once as strict JSON, prints it and writes the same text to a JSON --out,
+and any failure exits 2 with an `error:` line; a float overflow or invalid
+operation inside a subcommand raises, so it fails the same way.  A payload
+that is not strict JSON fails before --out is opened.  regularize streams
+its --trace file itself.
 """
 
 from __future__ import annotations
@@ -57,20 +58,6 @@ def _complex_pairs(zs) -> list[list[float]]:
     return [[z.real, z.imag] for z in zs]
 
 
-class _Trace:
-    """A run's trace records, made as they are written; len() needs no pass,
-    so the benchmark's emit counters can count rows after the write."""
-
-    def __init__(self, run):
-        self.run = run
-
-    def __iter__(self):
-        return emit.trace_records(self.run.steps(), self.run.target)
-
-    def __len__(self) -> int:
-        return self.run.iterations + 1
-
-
 def _cmd_regularize(args) -> dict:
     data = _load_json(args.input)
     if args.geometry == "plane":
@@ -93,7 +80,7 @@ def _cmd_regularize(args) -> dict:
         }
     run = result.run
     if args.trace:
-        emit.write_records(args.trace, _Trace(run), emit.trace_columns(run.spec.n), args.format)
+        emit.write_trace(args.trace, run.steps(), run.target, args.format)
     return {"geometry": args.geometry, "converged": run.converged, "iterations": run.iterations, **outcome}
 
 
@@ -226,11 +213,11 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", invalid="raise"):
             payload = args.func(args)
         text = json.dumps(payload, indent=2, allow_nan=False)
-        out, columns = getattr(args, "out", None), getattr(args, "columns", None)
-        if out and columns:
-            emit.write_records(out, payload, columns, args.format)
+        out = getattr(args, "out", None)
+        if out and getattr(args, "format", "json") == "csv":
+            emit.write_records(out, payload, args.columns)
         elif out:
-            emit.write_json(out, payload)
+            Path(out).write_text(text + "\n", encoding="utf-8")
         print(text)
     except (ValueError, OverflowError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,3 +32,24 @@ def test_block_zero_checks_out(workloads, tmp_path, name):
     for op in ops:
         output = workload.finish(op, workload.run(op, out), out)
         assert workload.check(op, output) is None, f"{op.kind} ({op.shape})"
+
+
+def test_cli_block_zero_checks_out_traced(workloads, tmp_path):
+    """The benchmark's traced pass wraps every public polyreg function and
+    reads counters off their arguments (emit's row count takes len() of
+    write_records' records), so a call that only the wrappers trip on
+    fails here."""
+    import tracing
+
+    workload = workloads.WORKLOADS["cli"](1, tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    ops = workload.block(0)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        raws = [workload.run(op, out) for op in ops]
+    finally:
+        tracer.uninstall()
+    for op, raw in zip(ops, raws):
+        assert workload.check(op, workload.finish(op, raw, out)) is None, f"{op.kind} ({op.shape})"

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import tracemalloc
@@ -20,15 +21,52 @@ def write_json(path, payload):
     return str(path)
 
 
+def reference_trace_records(steps, target):
+    """One trace record per step: the per-step builder the block-wise
+    emit.trace_rows replaced, kept as the byte reference."""
+    target = np.asarray(target, dtype=float)
+    for iteration, vec in enumerate(steps):
+        vec = np.asarray(vec, dtype=float)
+        dev = vec - target
+        record = {
+            "iteration": iteration,
+            "deviation_max": float(np.max(np.abs(dev))),
+            "deviation_l2": float(np.linalg.norm(dev)),
+        }
+        for i, x in enumerate(vec):
+            record[f"v_{i}"] = float(x)
+        yield record
+
+
+def reference_write_trace(path, steps, target, fmt="csv"):
+    """The per-record trace writer emit.write_trace replaced."""
+    records = reference_trace_records(steps, target)
+    columns = emit.trace_columns(len(target))
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        if fmt == "json":
+            encoder = json.JSONEncoder(indent=2, allow_nan=False)
+            separator = "[\n  "
+            for record in records:
+                handle.write(separator + encoder.encode(record).replace("\n", "\n  "))
+                separator = ",\n  "
+            handle.write("[]\n" if separator == "[\n  " else "\n]\n")
+            return
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        for record in records:
+            writer.writerow([record[c] for c in columns])
+
+
 class TestEmit:
     def test_trace_rows_include_step_zero(self):
         history = [np.array([1.0, 2.0, 3.0]), np.array([1.5, 2.0, 2.5]),
                    np.array([1.75, 2.0, 2.25]), np.array([1.9, 2.0, 2.1])]
-        records = list(emit.trace_records(history, np.full(3, 2.0)))
-        assert len(records) == 4
-        assert records[0]["iteration"] == 0
-        assert records[0]["deviation_max"] == 1.0
-        assert records[0]["v_0"] == 1.0
+        rows = list(emit.trace_rows(history, np.full(3, 2.0)))
+        columns = emit.trace_columns(3)
+        assert len(rows) == 4
+        assert rows[0][columns.index("iteration")] == 0
+        assert rows[0][columns.index("deviation_max")] == 1.0
+        assert rows[0][columns.index("v_0")] == 1.0
 
     def test_empty_rows_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -47,18 +85,39 @@ class TestEmit:
 
     @pytest.mark.parametrize("fmt", emit.FORMATS)
     def test_trace_written_in_bounded_memory(self, tmp_path, fmt):
-        gaps = np.random.default_rng(5).dirichlet(np.ones(16)) * 2 * math.pi
+        rng = np.random.default_rng(5)
+        gaps = rng.dirichlet(np.ones(16)) * 2 * math.pi
         run = circulant.iterate(spherical.step_spec(16, 2), gaps, np.full(16, math.pi / 8), 1e-12, 10**6)
         assert run.converged and run.iterations >= 1000
-        path = tmp_path / f"trace.{fmt}"
-        tracemalloc.start()
-        try:
-            emit.write_records(path, emit.trace_records(run.steps(), run.target), emit.trace_columns(16), fmt)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1e6
-        assert len(path.read_text().splitlines()) > run.iterations
+        # a wide run: one step per block of trace rows
+        gaps = rng.dirichlet(np.ones(1024)) * 2 * math.pi
+        wide = circulant.iterate(spherical.step_spec(1024, 2), gaps, np.full(1024, math.pi / 512), 1e-12, 199)
+        assert wide.iterations == 199
+        for traced in (run, wide):
+            path = tmp_path / f"trace.{fmt}"
+            tracemalloc.start()
+            try:
+                emit.write_trace(path, traced.steps(), traced.target, fmt)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6
+            assert len(path.read_text().splitlines()) > traced.iterations
+
+    @pytest.mark.parametrize("fmt", emit.FORMATS)
+    @pytest.mark.parametrize("n", [3, 16, 1024])
+    def test_trace_byte_identical_at_block_boundaries(self, tmp_path, n, fmt):
+        block = max(1, 1024 // n)
+        rng = np.random.default_rng(n)
+        spec, target = spherical.step_spec(n, 3), np.full(n, 2 * math.pi / n)
+        steps = [rng.dirichlet(np.ones(n)) * 2 * math.pi]
+        for _ in range(2 * block):
+            steps.append(circulant.apply(spec, steps[-1]))
+        for count in sorted({1, block - 1, block, block + 1, 2 * block + 1}):
+            got, want = tmp_path / f"got.{fmt}", tmp_path / f"want.{fmt}"
+            emit.write_trace(got, iter(steps[:count]), target, fmt)
+            reference_write_trace(want, steps[:count], target, fmt)
+            assert got.read_bytes() == want.read_bytes(), count
 
     def test_numpy_float_written_as_repr(self, tmp_path):
         path = tmp_path / "np.csv"
@@ -412,5 +471,45 @@ class TestDeterminism:
         steps = [gaps]
         for _ in range(json.loads(out)["iterations"]):
             steps.append(circulant.apply(spec, steps[-1]))
-        emit.write_records(direct, emit.trace_records(steps, target), emit.trace_columns(len(gaps)))
+        reference_write_trace(direct, steps, target)
         assert a.read_bytes() == direct.read_bytes()
+
+
+class TestOutFile:
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            (["eigen", "--spec"], [0.5, 0.25, 0.0, 0.25]),
+            (["napoleon", "--geometry", "plane", "--input"], TRIANGLE),
+            (["napoleon", "--geometry", "sphere", "--input"], SPHERE_TRIANGLE),
+            (["fit", "--input"], SPHERE_TRIANGLE + [[0.0, 0.6, 0.8]]),
+            (["analyze", "--matrix"], [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
+            (["experiment", "table1", "--trials", "4", "--format", "json", "--k"], None),
+        ],
+        ids=["eigen", "napoleon-plane", "napoleon-sphere", "fit", "analyze", "table1"],
+    )
+    def test_json_out_is_stdout(self, capsys, tmp_path, argv, payload):
+        source = "2,3" if payload is None else write_json(tmp_path / "in.json", payload)
+        out_path = tmp_path / "out.json"
+        code, out = run_cli(capsys, *argv, source, "--out", str(out_path))
+        assert code == 0
+        assert out_path.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "argv, columns",
+        [
+            (["eigen", "--spec", "{input}"], ["index", "real", "imag", "modulus", "angle"]),
+            (["experiment", "table1", "--trials", "4", "--k", "2,3"], list(emit.EXPERIMENT_COLUMNS)),
+        ],
+        ids=["eigen", "table1"],
+    )
+    def test_csv_out_renders_stdout_records(self, capsys, tmp_path, argv, columns):
+        inp = write_json(tmp_path / "in.json", [0.5, 0.25, 0.0, 0.25])
+        out_path = tmp_path / "out.csv"
+        argv = [a.format(input=inp) for a in argv]
+        code, out = run_cli(capsys, *argv, "--out", str(out_path), "--format", "csv")
+        assert code == 0
+        lines = [",".join(columns)] + [
+            ",".join(repr(record[c]) for c in columns) for record in json.loads(out)
+        ]
+        assert out_path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
