@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -27,11 +28,15 @@ from . import analyzer, circulant, emit, euclid, experiment, hyperbolic, spheric
 
 def _load_json(path):
     with Path(path).open("r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nests too deeply") from None
 
 
 def _float_array(data, shape: tuple, message: str) -> np.ndarray:
-    """JSON value as a finite float array of `shape` (None: any length)."""
+    """JSON value as a finite float array of `shape` (None: any length)
+    whose leaves are all JSON numbers: numpy would also take "1" and true."""
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -41,6 +46,11 @@ def _float_array(data, shape: tuple, message: str) -> np.ndarray:
         or any(want not in (None, got) for want, got in zip(shape, arr.shape))
         or not np.all(np.isfinite(arr))
     ):
+        raise ValueError(message)
+    leaves = data
+    for _ in range(arr.ndim - 1):
+        leaves = itertools.chain.from_iterable(leaves)
+    if not set(map(type, leaves)) <= {int, float}:
         raise ValueError(message)
     return arr
 

@@ -35,12 +35,29 @@ class DegenerateConfigurationError(ValueError):
     """Point configuration too degenerate for the requested construction."""
 
 
+# np.cross and np.linalg.norm on 3-vectors, bit for bit and with the same
+# overflow errors (hence .dot: an overflowing @ names matmul), without
+# numpy's per-call dispatch.  Python float arithmetic never raises, so
+# _cross only takes checked unit vectors or their differences.
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(v.dot(v))
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.add.reduce(v * v, axis=1))
+
+
 def unit_vector(v) -> np.ndarray:
     """Normalize to a unit 3-vector; rejects near-zero and non-finite input."""
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError("expected a 3-vector")
-    norm = float(np.linalg.norm(v))
+    norm = _norm(v)
     if not 1e-12 <= norm < math.inf:
         raise DegenerateConfigurationError("cannot normalize a near-zero or non-finite vector")
     return v / norm
@@ -51,7 +68,7 @@ def _unit_rows(points, name: str) -> np.ndarray:
     v = np.array(points, dtype=float)
     if v.ndim != 2 or v.shape[1] != 3:
         raise ValueError(f"{name} must be [x, y, z] coordinates")
-    if not np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= UNIT_TOL):
+    if not np.all(np.abs(_row_norms(v) - 1.0) <= UNIT_TOL):
         raise ValueError(f"{name} must have unit length")
     return v
 
@@ -67,9 +84,9 @@ class SphericalPolygon:
         if v.shape[0] < 3:
             raise ValueError("polygon needs at least three vertices")
         nxt = np.roll(v, -1, axis=0)
-        if np.min(np.linalg.norm(nxt - v, axis=1)) <= ADJACENT_TOL:
+        if np.min(_row_norms(nxt - v)) <= ADJACENT_TOL:
             raise ValueError("adjacent vertices must be distinct")
-        if np.min(np.linalg.norm(nxt + v, axis=1)) <= ADJACENT_TOL:
+        if np.min(_row_norms(nxt + v)) <= ADJACENT_TOL:
             raise ValueError("adjacent vertices must not be antipodal")
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
@@ -136,13 +153,10 @@ def circumcenter_triangle(z0, z1, z2) -> np.ndarray:
     negative when the triple is ordered clockwise around its near pole.
     """
     z0, z1, z2 = _unit_rows([z0, z1, z2], "points")
-    cross = np.cross(z1 - z0, z2 - z0)
-    norm = float(np.linalg.norm(cross))
-    span = max(
-        float(np.linalg.norm(z1 - z0)),
-        float(np.linalg.norm(z2 - z0)),
-        float(np.linalg.norm(z2 - z1)),
-    )
+    d1, d2 = z1 - z0, z2 - z0
+    cross = _cross(d1, d2)
+    norm = _norm(cross)
+    span = max(_norm(d1), _norm(d2), _norm(z2 - z1))
     if not norm > 1e-12 * max(span * span, 1e-30):
         raise DegenerateConfigurationError(
             "vertex differences do not span a plane; no circumcircle"
@@ -155,8 +169,8 @@ def _complete_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     seed = np.zeros(3)
     seed[int(np.argmin(np.abs(axis)))] = 1.0
     e1 = seed - float(seed @ axis) * axis
-    e1 /= np.linalg.norm(e1)
-    return e1, np.cross(axis, e1)
+    e1 /= _norm(e1)
+    return e1, _cross(axis, e1)
 
 
 def _azimuths(axis: np.ndarray, vertices: np.ndarray) -> np.ndarray:
@@ -217,16 +231,18 @@ def from_cyclic_frame(f: CyclicFrame) -> SphericalPolygon:
     return _ring(f.axis, f.cos_radius, euclid.positions_from_gaps(f.start, f.gaps))
 
 
-def regularize(p: SphericalPolygon, k: int, tol: float, max_iter: int) -> circulant.Regularization:
+def regularize(p: SphericalPolygon | CyclicFrame, k: int, tol: float, max_iter: int) -> circulant.Regularization:
     """Rotate every vertex about the axis by its own gap over k
     (euclid.rotate_on_circle) until every gap is within tol of 2*pi/n; the
     run decodes to SphericalPolygons.
 
-    The axis and the vertex-to-axis dots stay fixed over the whole run;
-    only the gaps are iterated, through step_spec.  Raises NotCyclicError
-    for inputs without a shared axis (fit and project those first).
+    p is a polygon or its frame (a caller that already holds the frame
+    skips a second extraction).  The axis and the vertex-to-axis dots stay
+    fixed over the whole run; only the gaps are iterated, through
+    step_spec.  Raises NotCyclicError for inputs without a shared axis
+    (fit and project those first).
     """
-    frame = to_cyclic_frame(p)
+    frame = p if isinstance(p, CyclicFrame) else to_cyclic_frame(p)
     # The decoder holds the axis and dot, not the frame: its gaps would duplicate run.start.
     place = functools.partial(_ring, frame.axis, frame.cos_radius)
     return euclid.rotate_on_circle(frame.start, frame.gaps, k, tol, max_iter, place)
@@ -264,7 +280,7 @@ def project_to_circle(points, axis, cos_radius: float) -> SphericalPolygon:
         raise ValueError("cos_radius must lie strictly inside (-1, 1)")
     pts = _unit_rows(points, "points")
     tangential = pts - np.outer(pts @ axis, axis)
-    norms = np.linalg.norm(tangential, axis=1)
+    norms = _row_norms(tangential)
     if not np.all(norms > 1e-12):
         raise DegenerateConfigurationError("point at the axis has no azimuth")
     sin_radius = math.sqrt(1.0 - cos_radius * cos_radius)

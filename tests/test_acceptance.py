@@ -136,8 +136,9 @@ def test_criterion_4_table1_trend():
     # The capped-fraction clause cannot hold under this stop rule: needing
     # more than 20 iterations at k=5 and tol=0.005 requires an initial
     # max-gap deviation around 3.4 rad, which uniform random triangles
-    # essentially never produce (measured ~5e-5 per trial, nowhere near
-    # > 0.2).  The clause is asserted as stated and fails honestly.
+    # essentially never produce (measured 61 capped of 10^6 k=5 trials at
+    # this seed, 6.1e-5 with Wilson 95% interval [4.7e-5, 7.8e-5], nowhere
+    # near > 0.2).  The clause is asserted as stated and fails honestly.
     with criterion(4, "table1 trend: k=2 mean in [6,9], monotone, k=5 capped > 0.2"):
         start = perf_counter()
         config = experiment.ExperimentConfig(

@@ -34,14 +34,12 @@ def test_block_zero_checks_out(workloads, tmp_path, name):
         assert workload.check(op, output) is None, f"{op.kind} ({op.shape})"
 
 
-def test_cli_block_zero_checks_out_traced(workloads, tmp_path):
-    """The benchmark's traced pass wraps every public polyreg function and
-    reads counters off their arguments (emit's row count takes len() of
-    write_records' records), so a call that only the wrappers trip on
-    fails here."""
+def traced_block_zero(workloads, tmp_path, name):
+    """Block 0 of a workload run under the benchmark's tracer, every op
+    checked; returns the tracer."""
     import tracing
 
-    workload = workloads.WORKLOADS["cli"](1, tmp_path)
+    workload = workloads.WORKLOADS[name](1, tmp_path)
     out = tmp_path / "out"
     out.mkdir()
     ops = workload.block(0)
@@ -53,3 +51,19 @@ def test_cli_block_zero_checks_out_traced(workloads, tmp_path):
         tracer.uninstall()
     for op, raw in zip(ops, raws):
         assert workload.check(op, workload.finish(op, raw, out)) is None, f"{op.kind} ({op.shape})"
+    return tracer
+
+
+def test_cli_block_zero_checks_out_traced(workloads, tmp_path):
+    """The benchmark's traced pass wraps every public polyreg function and
+    reads counters off their arguments (emit's row count takes len() of
+    write_records' records), so a call that only the wrappers trip on
+    fails here."""
+    traced_block_zero(workloads, tmp_path, "cli")
+
+
+def test_table1_extracts_one_frame_per_trial(workloads, tmp_path):
+    """The draw's validating frame is the one each trial regularizes."""
+    tracer = traced_block_zero(workloads, tmp_path, "table1")
+    assert tracer.counts["experiment.run_table1.trials"] > 0
+    assert tracer.frames_per_trial() == 1.0

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import tracemalloc
@@ -285,14 +286,24 @@ SPHERE_TRIANGLE = [[0.6, 0.0, 0.8], [-0.6, 0.0, 0.8], [0.0, -0.6, 0.8]]
         ([[1e200, 0, 0], [0, 1, 0], [0, 0, 1]], ["regularize", "--geometry", "sphere", "--input"]),
         (SPHERE_TRIANGLE + [[0.0, 0.6, 0.8]], ["napoleon", "--geometry", "sphere", "--input"]),
         (HEXAGON, ["regularize", "--k", "3", "--geometry", "hyperbolic", "--input"]),
+        ("[" * 100_000 + "]" * 100_000, ["eigen", "--spec"]),
+        (["1", "2"], ["eigen", "--spec"]),
+        ([True, False, True], ["eigen", "--spec"]),
+        ([["0.6", "0", "0.8"]] + SPHERE_TRIANGLE[1:], ["regularize", "--geometry", "sphere", "--input"]),
     ],
     ids=["plane-column", "napoleon-column", "hyperbolic-column", "eigen-nested",
          "analyze-object", "plane-max-iter", "sphere-max-iter", "hyperbolic-max-iter",
          "plane-tol-nan", "hyperbolic-tol-nan", "eigen-overflow", "plane-overflow",
-         "analyze-overflow", "sphere-overflow", "napoleon-sphere-four", "hyperbolic-k3"],
+         "analyze-overflow", "sphere-overflow", "napoleon-sphere-four", "hyperbolic-k3",
+         "deep-json", "eigen-strings", "eigen-bools", "sphere-strings"],
 )
 def test_malformed_input_exits_2_with_error(capsys, tmp_path, payload, argv):
-    code = cli.main(argv + [write_json(tmp_path / "in.json", payload)])
+    path = tmp_path / "in.json"
+    if isinstance(payload, str):  # raw JSON text, for documents json.dumps cannot write
+        path.write_text(payload, encoding="utf-8")
+    else:
+        write_json(path, payload)
+    code = cli.main(argv + [str(path)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:")
@@ -434,7 +445,47 @@ class TestExperimentCommand:
         assert [r["k"] for r in records] == [2, 3]
 
 
+# sha256 of `experiment table1 --seed S --sampler X --out t.csv` at the CLI
+# defaults, seeds 0-9: how a trial reaches its frame must not move a byte.
+TABLE1_CSV_SHA256 = {
+    "sphere": [
+        "f9f1717f0d9966aaebb97a290bcef8d4aac17949ca9efd19cd8e8ec53d72e11e",
+        "d1199a4ba057ff52acad5987ad20badd3c55bbc40f680f038e4b2ce965392795",
+        "c5a1b08bccc42b017ed1f410374f577461bd19f94d16e54f7f07e1c1edbeb1a0",
+        "3b4ca352f95752080aa2acfd7ef52b22c35e1b2b37d05d5bd8ce06788e5118d0",
+        "ee18baba45eb88e6a0ac35ee51962a3a151e10e4acac23314204f9dbca9311ca",
+        "fc25b6ed7bebf8a1b6f27195469f316c2c2de89be0d8ccbcc52d2cebf2bfe921",
+        "a17fd4216ad983124534455b6f2c0398f0399bc8ae86aa2577c5a6e18e45129b",
+        "bdc8a6385b80e59877dc718fd690aca2328ef2e0dc3f636263e3bdb61021a4bc",
+        "7a04aa67177da836db6ece6961a5e277ee93e1ff45b705a356105cd9b11127e4",
+        "65a1a6da39893a5a34d9bd2ef3c1132b06eee2bd4707e9e335ce2e9db016ce6f",
+    ],
+    "cube": [
+        "bd8c5a57d53659d194134228644604f3981f6954a7aff7243f2e9de66b9b188e",
+        "eaaa26384b917ed9793bd171a9ead1364dc8ed3792cb10b28925b39359b38ed7",
+        "77c10f11e23d4b03010805fdc756e20aea3e4cae51ae8c18928f6499a3fa122e",
+        "21d32daf78751dcb3e33fdc14cca0afd0962365358f64828c1c11ffb52da6e41",
+        "f54a2c580a7150bb845124c08c583db292674133424534cccd2a1146abdd956c",
+        "b41f398374e15aa616483a2bdb64483ab54cd892887708d90fb3103362459276",
+        "ca915da9286f17d20f581ad810633fc0bf1dd626699b415d038d990ea2947cf4",
+        "ad0e2c236d1ed6a956267f97878cd984409e5552c16593aa965b3eba1aa902f6",
+        "0a84e87547887641339cefff10ec7b3b55966597976856cfaaba617e9b44c52a",
+        "f3c92298e481a5338909a9949eee90fa50a076f982a22c44355aa69cc284d8f4",
+    ],
+}
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("sampler", sorted(TABLE1_CSV_SHA256))
+    def test_table1_csv_pinned(self, capsys, tmp_path, sampler):
+        path = tmp_path / "t.csv"
+        digests = []
+        for seed in range(10):
+            args = ["experiment", "table1", "--seed", str(seed), "--sampler", sampler, "--out", str(path)]
+            assert run_cli(capsys, *args)[0] == 0
+            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert digests == TABLE1_CSV_SHA256[sampler]
+
     def test_table1_byte_identical(self, capsys, tmp_path):
         args = [
             "experiment", "table1", "--k", "2,3", "--trials", "15", "--tol", "0.005",

@@ -106,6 +106,22 @@ class TestRunTable1:
         result = spherical.regularize(poly, k=2, tol=0.005, max_iter=20)
         assert result.converged and result.iterations == 0
 
+    def test_one_frame_per_draw(self, monkeypatch):
+        # the draw's validating frame is the one regularize runs on
+        calls = []
+        to_cyclic_frame = spherical.to_cyclic_frame
+
+        def counted(p):
+            calls.append(p)
+            return to_cyclic_frame(p)
+
+        monkeypatch.setattr(spherical, "to_cyclic_frame", counted)
+        config = ExperimentConfig(k_values=(2, 3), trials=5, tol=0.005, cap=20, seed=31)
+        rows = run_table1(config)
+        assert len(calls) == 10
+        monkeypatch.undo()
+        assert rows == run_table1(config)
+
     def test_larger_k_converges_slower(self):
         config = ExperimentConfig(k_values=(2, 5), trials=60, tol=0.005, cap=20, seed=77)
         rows = run_table1(config)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyreg import circulant, euclid, spherical
 from polyreg.spherical import (
@@ -521,3 +523,32 @@ class TestFrameRoundTrip:
             assert np.max(np.abs(back.gaps - frame.gaps)) <= 1e-12, n
             turn = (back.start - frame.start + math.pi) % TWO_PI - math.pi
             assert abs(turn) <= 1e-12, n
+
+
+# Finite coordinates up to 1e150, so no product overflows, with signed
+# zeros and subnormals drawn on purpose.
+COORDS = st.one_of(
+    st.floats(-1e150, 1e150),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, -1e-310]),
+)
+VECTORS = st.lists(COORDS, min_size=3, max_size=3).map(np.array)
+
+
+def bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+class TestVectorHelpers:
+    """The private 3-vector helpers give numpy's bits, so frames do not move."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(a=VECTORS, b=VECTORS)
+    def test_cross_and_norm_bit_equal(self, a, b):
+        assert np.array_equal(bits(spherical._cross(a, b)), bits(np.cross(a, b)))
+        assert bits(spherical._norm(a)) == bits(np.linalg.norm(a))
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(rows=st.lists(VECTORS, min_size=1, max_size=8))
+    def test_row_norms_bit_equal(self, rows):
+        v = np.array(rows)
+        assert np.array_equal(bits(spherical._row_norms(v)), bits(np.linalg.norm(v, axis=1)))
