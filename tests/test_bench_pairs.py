@@ -64,3 +64,13 @@ def test_compare_reads_every_metric_in_order(bench_pairs):
     assert metrics["b"]["change_wins"] == 0 and metrics["b"]["within_bound"]
     assert metrics["a"]["change_wins"] == 0 and not metrics["a"]["within_bound"]
     assert metrics["a"]["change_runs"] == [2 * p for p in PARENT]
+
+
+def test_options_come_from_benchmark_json(bench_pairs):
+    spec = {"workloads": [{"name": "w1"}, {"name": "w2"}], "run_seconds": 20}
+    args = bench_pairs.parse_args(["--base", "HEAD", "--workload", "w2", "--seed0", "7", "--out", "f"], spec)
+    assert (args.base, args.workload, args.seed0, args.out) == ("HEAD", "w2", 7, "f")
+    for extra in (["--workload", "table1"], ["--seconds", "5"], ["--pairs", "3"]):
+        with pytest.raises(SystemExit):
+            bench_pairs.parse_args(["--base", "HEAD", "--workload", "w1", "--seed0", "7", "--out", "f", *extra], spec)
+    assert bench_pairs.PAIRS == 10

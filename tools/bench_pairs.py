@@ -1,10 +1,12 @@
 """Alternating benchmark pairs: a base commit against the working tree.
 
-    python3 tools/bench_pairs.py --base REF --workload W --pairs 10 --seconds 20 --seed0 S --out FILE
+    python3 tools/bench_pairs.py --base REF --workload W --seed0 S --out FILE
 
-Run from the repository root.  Pair i runs `bench/run.py --workload W
---seed S+i --seconds T` once on each side, one run at a time; the base runs
-first in even pairs and the working tree first in odd ones.  The base side
+Run from the repository root.  W is one of BENCHMARK.json's workloads.
+Pair i of PAIRS runs `bench/run.py --workload W --seed S+i --seconds T`,
+T being BENCHMARK.json's run_seconds, once on each side, one run at a
+time; the base runs first in even pairs and the working tree first in odd
+ones.  The base side
 is a `git archive` copy of REF, the change side a copy of the working
 tree's tracked and unignored files, each in a temporary directory, so the
 runs never write under this checkout's bench/.
@@ -33,14 +35,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10  # the fewest pairs a gain may be claimed on
 
 
-def parse_args(argv):
+def parse_args(argv, spec: dict):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision of the parent side")
-    parser.add_argument("--workload", required=True, choices=("table1", "regularize", "cli"))
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--seed0", type=int, required=True, help="seed of the first pair")
     parser.add_argument("--out", required=True, help="JSON file to write or update")
     return parser.parse_args(argv)
@@ -116,10 +117,9 @@ def compare(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
-    if args.pairs < 2:
-        raise SystemExit("bench_pairs: quartiles need at least two pairs")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    args = parse_args(argv, spec)
+    seconds = spec["run_seconds"]
     out = Path(args.out)
     doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     runs = {side: [] for side in SIDES}
@@ -130,19 +130,19 @@ def main(argv=None) -> int:
             tree.mkdir()
         sha = export_base(args.base, trees["parent"])
         export_working_tree(trees["change"])
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             first.append(order[0])
             for side in order:
-                run = run_once(trees[side], args.workload, args.seed0 + i, args.seconds)
+                run = run_once(trees[side], args.workload, args.seed0 + i, seconds)
                 runs[side].append(run)
-                print(f"pair {i + 1}/{args.pairs} {side}: correct={run['correct']} failed={run['failed']} "
+                print(f"pair {i + 1}/{PAIRS} {side}: correct={run['correct']} failed={run['failed']} "
                       f"ops_per_s={run['metrics'].get('ops_per_s')} phases: {run['phases']}", flush=True)
     doc.setdefault("workloads", {})[args.workload] = {
         "base": sha,
-        "command": f"python3 bench/run.py --workload {args.workload} --seed S --seconds {args.seconds:g}",
-        "pairs": args.pairs,
-        "seeds": [args.seed0 + i for i in range(args.pairs)],
+        "command": f"python3 bench/run.py --workload {args.workload} --seed S --seconds {seconds:g}",
+        "pairs": PAIRS,
+        "seeds": [args.seed0 + i for i in range(PAIRS)],
         "first_side": first,
         "all_correct": all(run["correct"] for side in SIDES for run in runs[side]),
         "failed_ops": {side: sum(run["failed"] for run in runs[side]) for side in SIDES},
