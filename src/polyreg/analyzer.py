@@ -81,25 +81,16 @@ def _eig2(m: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _describe(mu: np.ndarray) -> tuple[str, ...]:
+    """One block per real eigenvalue or conjugate pair, largest modulus
+    first.  A real matrix's eigenvalues come in exact conjugate pairs (from
+    LAPACK and from _eig2 alike), so each pair is named by its member with
+    positive imaginary part and the other member is skipped."""
     parts: list[str] = []
-    used = [False] * len(mu)
-    order = sorted(range(len(mu)), key=lambda i: (-abs(mu[i]), -mu[i].imag))
-    for i in order:
-        if used[i]:
-            continue
-        m = mu[i]
-        used[i] = True
-        if abs(m.imag) > 1e-12 * max(1.0, abs(m)):
-            mate = min(
-                (k for k in range(len(mu)) if not used[k]),
-                key=lambda k: abs(mu[k] - m.conjugate()),
-                default=None,
-            )
-            if mate is not None:
-                used[mate] = True
-            parts.append(f"rotation(a={abs(m):.12g}, phi={abs(math.atan2(m.imag, m.real)):.12g})")
-        else:
+    for m in sorted(mu, key=lambda m: (-abs(m), -m.imag)):
+        if abs(m.imag) <= 1e-12 * max(1.0, abs(m)):
             parts.append(f"real({m.real:.12g})")
+        elif m.imag > 0.0:
+            parts.append(f"rotation(a={abs(m):.12g}, phi={abs(math.atan2(m.imag, m.real)):.12g})")
     return tuple(parts)
 
 

@@ -62,16 +62,6 @@ class CirculantSpec:
         return c[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    """Eigenvalue at Fourier index j, with polar decomposition."""
-
-    index: int
-    eigenvalue: complex
-    modulus: float
-    angle: float
-
-
 def _spectrum(spec: CirculantSpec) -> np.ndarray:
     """n * ifft(c); adding 0.0 turns -0.0 imaginary parts into +0.0 (angle pi, not -pi)."""
     return spec.n * np.fft.ifft(spec.coeffs) + 0.0
@@ -83,15 +73,14 @@ def _unit_split(lam: np.ndarray) -> tuple[np.ndarray, float]:
     return unit, float(np.max(np.abs(lam[~unit]), initial=0.0))
 
 
-def eigenvalues(spec: CirculantSpec) -> list[SpectrumEntry]:
-    """All eigenvalues: lambda_j = sum_m c[m] w^(j*m) with w = exp(2*pi*i/n).
+def eigenvalues(spec: CirculantSpec) -> np.ndarray:
+    """All eigenvalues as a complex array: lambda_j = sum_m c[m] w^(j*m)
+    with w = exp(2*pi*i/n).
 
     That sum is n * ifft(c)[j], so one FFT gives the whole spectrum in
-    O(n log n), never a dense eigensolver; index 0 is the coefficient sum.
+    O(n log n), never a dense eigensolver; entry 0 is the coefficient sum.
     """
-    lam = _spectrum(spec)
-    polar = zip(lam.tolist(), np.abs(lam).tolist(), np.angle(lam).tolist())
-    return [SpectrumEntry(j, e, m, a) for j, (e, m, a) in enumerate(polar)]
+    return _spectrum(spec)
 
 
 def _vector(spec: CirculantSpec, v) -> np.ndarray:

@@ -96,16 +96,11 @@ def _cmd_regularize(args) -> dict:
 
 def _cmd_eigen(args) -> list[dict]:
     coeffs = _float_array(_load_json(args.spec), (None,), "spec must be a JSON array of numbers")
-    spec = circulant.CirculantSpec(tuple(coeffs))
+    lam = circulant.eigenvalues(circulant.CirculantSpec(tuple(coeffs)))
+    polar = zip(lam.tolist(), np.abs(lam).tolist(), np.angle(lam).tolist())
     return [
-        {
-            "index": e.index,
-            "real": e.eigenvalue.real,
-            "imag": e.eigenvalue.imag,
-            "modulus": e.modulus,
-            "angle": e.angle,
-        }
-        for e in circulant.eigenvalues(spec)
+        {"index": j, "real": e.real, "imag": e.imag, "modulus": m, "angle": a}
+        for j, (e, m, a) in enumerate(polar)
     ]
 
 

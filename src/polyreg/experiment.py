@@ -66,11 +66,6 @@ def random_spherical_triangle(rng: np.random.Generator, sampler: str = "sphere")
     instead, confining points to one octant; it exists for comparison with
     that simpler, biased scheme.
     """
-    return _draw_triangle(rng, sampler)[0]
-
-
-def _draw_triangle(rng: np.random.Generator, sampler: str) -> tuple[spherical.SphericalPolygon, spherical.CyclicFrame]:
-    """random_spherical_triangle's draw and the frame that validated it."""
     if sampler not in SAMPLERS:
         raise ValueError(f"sampler must be one of {SAMPLERS}")
     while True:
@@ -81,10 +76,10 @@ def _draw_triangle(rng: np.random.Generator, sampler: str) -> tuple[spherical.Sp
         pts = pts / norms[:, None]
         try:
             poly = spherical.SphericalPolygon(pts)
-            frame = spherical.to_cyclic_frame(poly)
+            poly.frame  # validates the draw; regularize reuses the cached frame
         except ValueError:
             continue
-        return poly, frame
+        return poly
 
 
 def run_table1(config: ExperimentConfig, sampler: str = "sphere") -> list[ExperimentRow]:
@@ -95,8 +90,8 @@ def run_table1(config: ExperimentConfig, sampler: str = "sphere") -> list[Experi
         capped = 0
         for trial in range(config.trials):
             rng = trial_generator(config.seed, k, trial)
-            _, frame = _draw_triangle(rng, sampler)
-            result = spherical.regularize(frame, k=k, tol=config.tol, max_iter=config.cap)
+            triangle = random_spherical_triangle(rng, sampler)
+            result = spherical.regularize(triangle, k=k, tol=config.tol, max_iter=config.cap)
             if result.converged:
                 counts.append(result.iterations)
             else:

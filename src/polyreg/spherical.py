@@ -95,6 +95,12 @@ class SphericalPolygon:
     def n(self) -> int:
         return int(self.vertices.shape[0])
 
+    @functools.cached_property
+    def frame(self) -> CyclicFrame:
+        """to_cyclic_frame(self), extracted once per polygon; an error is
+        not cached, so a non-cyclic polygon raises on every access."""
+        return to_cyclic_frame(self)
+
 
 @dataclass(frozen=True)
 class CyclicFrame:
@@ -231,18 +237,17 @@ def from_cyclic_frame(f: CyclicFrame) -> SphericalPolygon:
     return _ring(f.axis, f.cos_radius, euclid.positions_from_gaps(f.start, f.gaps))
 
 
-def regularize(p: SphericalPolygon | CyclicFrame, k: int, tol: float, max_iter: int) -> circulant.Regularization:
+def regularize(p: SphericalPolygon, k: int, tol: float, max_iter: int) -> circulant.Regularization:
     """Rotate every vertex about the axis by its own gap over k
     (euclid.rotate_on_circle) until every gap is within tol of 2*pi/n; the
     run decodes to SphericalPolygons.
 
-    p is a polygon or its frame (a caller that already holds the frame
-    skips a second extraction).  The axis and the vertex-to-axis dots stay
-    fixed over the whole run; only the gaps are iterated, through
-    step_spec.  Raises NotCyclicError for inputs without a shared axis
-    (fit and project those first).
+    The axis and the vertex-to-axis dots of p.frame stay fixed over the
+    whole run; only the gaps are iterated, through step_spec.  Raises
+    NotCyclicError for inputs without a shared axis (fit and project
+    those first).
     """
-    frame = p if isinstance(p, CyclicFrame) else to_cyclic_frame(p)
+    frame = p.frame
     # The decoder holds the axis and dot, not the frame: its gaps would duplicate run.start.
     place = functools.partial(_ring, frame.axis, frame.cos_radius)
     return euclid.rotate_on_circle(frame.start, frame.gaps, k, tol, max_iter, place)
@@ -319,8 +324,7 @@ def napoleon_sphere(z0, z1, z2) -> SphericalPolygon:
 def is_regular(p: SphericalPolygon, tol: float) -> bool:
     """Does rotating by 2*pi/n about the polygon's own axis map each
     vertex onto the next, with max componentwise residual below tol?"""
-    frame = to_cyclic_frame(p)
-    rot = rotation_about_axis(frame.axis, _TWO_PI / p.n)
+    rot = rotation_about_axis(p.frame.axis, _TWO_PI / p.n)
     shifted = p.vertices @ rot.T
     residual = float(np.max(np.abs(shifted - np.roll(p.vertices, -1, axis=0))))
     return residual < tol

@@ -93,6 +93,25 @@ class TestClassify:
         assert all(part.startswith("rotation(") for part in report.structure)
         assert report.jordan_class == "mixed"
 
+    def test_structure_has_one_block_per_real_eigenvalue_or_pair(self):
+        rng = np.random.default_rng(19)
+        for n in range(3, 10):
+            q = analyzer._sum_zero_basis(n)
+            for _ in range(20):
+                mat = rng.normal(size=(n, n))
+                mu = np.linalg.eigvals(q.T @ mat @ q)
+                real = np.abs(mu.imag) <= 1e-12 * np.maximum(1.0, np.abs(mu))
+                structure = classify(LinearAngleTransform(mat)).structure
+                kinds = [part.split("(")[0] for part in structure]
+                assert kinds.count("real") == int(np.sum(real))
+                assert kinds.count("rotation") == int(np.sum(~real & (mu.imag > 0)))
+                assert 2 * kinds.count("rotation") == int(np.sum(~real))
+                moduli = [
+                    abs(float(part[5:-1])) if kind == "real" else float(part.split("a=")[1].split(",")[0])
+                    for kind, part in zip(kinds, structure)
+                ]
+                assert moduli == sorted(moduli, reverse=True)
+
     def test_similarity_invariance_of_class(self):
         rng = np.random.default_rng(3)
         base = similarity_with_sum_zero_basis([0.6, 0.2])

@@ -63,7 +63,11 @@ def test_cli_block_zero_checks_out_traced(workloads, tmp_path):
 
 
 def test_table1_extracts_one_frame_per_trial(workloads, tmp_path):
-    """The draw's validating frame is the one each trial regularizes."""
+    """The draw's validating frame is the one each trial regularizes, and
+    every trial draws through the public random_spherical_triangle, so the
+    benchmark's draw metrics see each draw."""
     tracer = traced_block_zero(workloads, tmp_path, "table1")
-    assert tracer.counts["experiment.run_table1.trials"] > 0
+    trials = tracer.counts["experiment.run_table1.trials"]
+    assert trials > 0
     assert tracer.frames_per_trial() == 1.0
+    assert tracer.stat("experiment.random_spherical_triangle", "calls") == trials

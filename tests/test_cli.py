@@ -370,6 +370,28 @@ class TestEigenCommand:
         assert records[0] == {"index": 0, "real": 1.0, "imag": 0.0, "modulus": 1.0, "angle": 0.0}
         assert records[1]["modulus"] == pytest.approx(0.5, abs=1e-14)
 
+    def test_polar_fields(self, capsys, tmp_path):
+        inp = write_json(tmp_path / "spec.json", [0.5, 0.5, 0.0])
+        for record in json.loads(run_cli(capsys, "eigen", "--spec", inp)[1]):
+            assert record["modulus"] == pytest.approx(abs(complex(record["real"], record["imag"])), abs=1e-16)
+            assert -math.pi < record["angle"] <= math.pi
+
+    def test_minus_one_at_angle_pi(self, capsys, tmp_path):
+        # the eigenvalue -1 of a swap and of the 4-cycle shift sits at +pi,
+        # never at -pi from a -0.0 imaginary part
+        for coeffs, j in (([0.0, 1.0], 1), ([0.0, 1.0, 0.0, 0.0], 2)):
+            inp = write_json(tmp_path / "spec.json", coeffs)
+            record = json.loads(run_cli(capsys, "eigen", "--spec", inp)[1])[j]
+            assert (record["real"], record["imag"]) == (-1.0, 0.0)
+            assert record["angle"] == math.pi
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
+    def test_indices_count_up(self, capsys, tmp_path, n):
+        row = np.random.default_rng(n).dirichlet(np.ones(n)).tolist()
+        inp = write_json(tmp_path / "spec.json", row)
+        records = json.loads(run_cli(capsys, "eigen", "--spec", inp)[1])
+        assert [r["index"] for r in records] == list(range(n))
+
     def test_csv_output(self, capsys, tmp_path):
         inp = write_json(tmp_path / "spec.json", [0.5, 0.0, 0.5, 0.0, 0.0, 0.0])
         out_path = tmp_path / "eigen.csv"

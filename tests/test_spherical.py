@@ -160,6 +160,44 @@ class TestCyclicFrame:
             CyclicFrame(axis=E3, cos_radius=0.5, gaps=np.array([1.0, 1.0, 1.0]))
 
 
+class TestCachedFrame:
+    def test_frame_is_to_cyclic_frame(self):
+        rng = np.random.default_rng(5)
+        for n in (3, 4, 7):
+            poly = ring_polygon(spherical.unit_vector(rng.normal(size=3)), 0.8,
+                                np.cumsum(random_gaps(rng, n)))
+            cached, fresh = poly.frame, spherical.to_cyclic_frame(poly)
+            assert cached.axis.tobytes() == fresh.axis.tobytes()
+            assert cached.gaps.tobytes() == fresh.gaps.tobytes()
+            assert (cached.cos_radius, cached.start) == (fresh.cos_radius, fresh.start)
+
+    def test_one_extraction_serves_every_reader(self, monkeypatch):
+        calls = []
+        to_cyclic_frame = spherical.to_cyclic_frame
+
+        def counted(p):
+            calls.append(p)
+            return to_cyclic_frame(p)
+
+        monkeypatch.setattr(spherical, "to_cyclic_frame", counted)
+        poly = ring_polygon(E3, 0.7, [0.0, 1.0, 2.5, 4.0])
+        frame = poly.frame
+        result = spherical.regularize(poly, k=2, tol=1e-9, max_iter=200)
+        assert not spherical.is_regular(poly, 1e-6)
+        assert poly.frame is frame
+        assert calls == [poly]
+        assert result.converged
+
+    def test_non_cyclic_polygon_raises_on_every_access(self):
+        square = ring_polygon(E3, 0.8, [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
+        vertices = np.array(square.vertices)
+        vertices[0] = spherical.rotation_about_axis(E2, 0.1) @ vertices[0]
+        poly = SphericalPolygon(vertices)
+        for _ in range(2):
+            with pytest.raises(NotCyclicError):
+                poly.frame
+
+
 class TestStepK:
     def test_half_step_hand_example(self):
         stepped = circulant.apply(spherical.step_spec(3, 2), [math.pi, math.pi / 2, math.pi / 2])
