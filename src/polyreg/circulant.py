@@ -62,11 +62,6 @@ class CirculantSpec:
         return c[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
 
 
-def _spectrum(spec: CirculantSpec) -> np.ndarray:
-    """n * ifft(c); adding 0.0 turns -0.0 imaginary parts into +0.0 (angle pi, not -pi)."""
-    return spec.n * np.fft.ifft(spec.coeffs) + 0.0
-
-
 def _unit_split(lam: np.ndarray) -> tuple[np.ndarray, float]:
     """Mask of the unit eigenvalues and the largest modulus off it (0.0 if none)."""
     unit = np.abs(lam - 1.0) <= UNIT_EIGENVALUE_TOL
@@ -79,8 +74,9 @@ def eigenvalues(spec: CirculantSpec) -> np.ndarray:
 
     That sum is n * ifft(c)[j], so one FFT gives the whole spectrum in
     O(n log n), never a dense eigensolver; entry 0 is the coefficient sum.
+    Adding 0.0 turns -0.0 imaginary parts into +0.0 (angle pi, not -pi).
     """
-    return _spectrum(spec)
+    return spec.n * np.fft.ifft(spec.coeffs) + 0.0
 
 
 def _vector(spec: CirculantSpec, v) -> np.ndarray:
@@ -115,7 +111,7 @@ def fixed_space_limit(spec: CirculantSpec, v) -> np.ndarray:
     otherwise the power iteration has no limit there.
     """
     v = _vector(spec, v)
-    unit, worst = _unit_split(_spectrum(spec))
+    unit, worst = _unit_split(eigenvalues(spec))
     if worst >= 1.0:
         raise NonContractingError(f"non-contracting: eigenvalue modulus {worst} off the fixed space")
     return np.fft.ifft(np.where(unit, np.fft.fft(v), 0.0)).real
@@ -127,7 +123,7 @@ def contraction_factor(spec: CirculantSpec) -> float:
     Governs the geometric decay rate of deviations from the fixed space;
     0.0 when every eigenvalue equals 1 (nothing left to contract).
     """
-    return _unit_split(_spectrum(spec))[1]
+    return _unit_split(eigenvalues(spec))[1]
 
 
 @dataclass(frozen=True)
