@@ -1,4 +1,4 @@
-"""Closed-form spectral machinery for real circulant matrices.
+"""Closed-form spectral machinery for circulant matrices.
 
 A circulant matrix is determined by its first row ``c``; row ``i`` is the
 cyclic right-shift of ``c`` by ``i`` positions, so applying the matrix is
@@ -9,16 +9,17 @@ All circulants of one size share the discrete Fourier vectors as
 eigenvectors, which makes eigenvalues, iteration limits and contraction
 rates available in closed form: the spectrum is the discrete Fourier
 transform of the first row, computed by FFT in O(n log n).  Every polygon
-transform in this package is driven by a row-stochastic circulant acting
-on a gap vector.
+transform here is a row-stochastic circulant on a gap vector, except the
+plane three-centers construction: a complex circulant on the vertex vector.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -33,15 +34,17 @@ class NonContractingError(ValueError):
 
 @dataclass(frozen=True)
 class CirculantSpec:
-    """First row of an n-by-n circulant matrix."""
+    """First row of an n-by-n circulant matrix: all complex if any given one is, else all float."""
 
-    coeffs: tuple[float, ...]
+    coeffs: tuple[float, ...] | tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = tuple(self.coeffs)
         if len(coeffs) < 1:
             raise ValueError("a circulant needs at least one coefficient")
-        if not all(math.isfinite(c) for c in coeffs):
+        complex_row = any(map(isinstance, coeffs, repeat((complex, np.complexfloating))))
+        coeffs = tuple(map(complex if complex_row else float, coeffs))
+        if not all(map(cmath.isfinite, coeffs)):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -51,7 +54,8 @@ class CirculantSpec:
 
     def is_row_stochastic(self, tol: float = 1e-9) -> bool:
         return (
-            all(c >= -tol for c in self.coeffs)
+            isinstance(self.coeffs[0], float)
+            and all(c >= -tol for c in self.coeffs)
             and abs(math.fsum(self.coeffs) - 1.0) <= tol
         )
 
@@ -80,7 +84,7 @@ def eigenvalues(spec: CirculantSpec) -> np.ndarray:
 
 
 def _vector(spec: CirculantSpec, v) -> np.ndarray:
-    v = np.array(v, dtype=float)
+    v = np.array(v, dtype=complex if np.asarray(v).dtype.kind == "c" else type(spec.coeffs[0]))
     if v.shape != (spec.n,):
         raise ValueError(f"vector length {v.shape} does not match size {spec.n}")
     return v
@@ -106,15 +110,16 @@ def apply(spec: CirculantSpec, v) -> np.ndarray:
 def fixed_space_limit(spec: CirculantSpec, v) -> np.ndarray:
     """Projection of v onto the eigenvalue-1 eigenspace; equals lim A^m v.
 
-    ifft(mask * fft(v)), the mask keeping the unit-eigenvalue indices.
-    Requires every other eigenvalue modulus to be strictly below 1,
-    otherwise the power iteration has no limit there.
+    ifft(mask * fft(v)), the mask keeping the unit-eigenvalue indices; complex
+    when the row or v is.  Requires every other eigenvalue modulus to be
+    strictly below 1, otherwise the power iteration has no limit there.
     """
     v = _vector(spec, v)
     unit, worst = _unit_split(eigenvalues(spec))
     if worst >= 1.0:
         raise NonContractingError(f"non-contracting: eigenvalue modulus {worst} off the fixed space")
-    return np.fft.ifft(np.where(unit, np.fft.fft(v), 0.0)).real
+    limit = np.fft.ifft(np.where(unit, np.fft.fft(v), 0.0))
+    return limit if np.iscomplexobj(v) else limit.real
 
 
 def contraction_factor(spec: CirculantSpec) -> float:

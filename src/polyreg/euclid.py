@@ -55,27 +55,21 @@ def equilateral_defect(t: PlaneTriangle) -> complex:
     return z0 * z1 + z0 * z2 + z1 * z2 - (z0 + z1 + z2) ** 2 / 3
 
 
-def _apex(za: complex, zb: complex) -> complex:
-    return (za + zb) / 2 + 1j * _SQRT3 * (za - zb) / 2
-
-
-def _side_center(za: complex, zb: complex) -> complex:
-    return (za + zb) / 2 + 1j / _SQRT3 * (za - zb) / 2
+_APEX_ROW = circulant.CirculantSpec(((1 + 1j * _SQRT3) / 2, (1 - 1j * _SQRT3) / 2, 0j))
+_CENTER_ROW = circulant.CirculantSpec((0.5 + 0.5j / _SQRT3, 0.5 - 0.5j / _SQRT3, 0j))
 
 
 def napoleon(t: PlaneTriangle) -> tuple[tuple[complex, complex, complex], PlaneTriangle]:
     """Erect an equilateral triangle over each side; return (apices, centers).
 
-    The apex over side (za, zb) is (za+zb)/2 + i*sqrt(3)*(za-zb)/2, its
-    center replaces sqrt(3) by 1/sqrt(3).  For counter-clockwise input the
-    construction points outward; the three centers form an exactly
-    equilateral triangle whichever way the input winds.
+    Each is one complex circulant step z_j -> z_j + b*(z_{j+1} - z_j), with
+    b = (1 - i*sqrt(3))/2 for the apex over side j and b = 1/(1 - w^2) =
+    1/2 - i/(2*sqrt(3)), w = exp(2*pi*i/3), for its center.  Counter-clockwise
+    input erects outward; the centers are exactly equilateral either way.
     """
     _require_distinct(t)
-    z = t.vertices
-    apices = tuple(_apex(z[j], z[(j + 1) % 3]) for j in range(3))
-    centers = PlaneTriangle(tuple(_side_center(z[j], z[(j + 1) % 3]) for j in range(3)))
-    return apices, centers
+    apices = tuple(circulant.apply(_APEX_ROW, t.vertices).tolist())
+    return apices, PlaneTriangle(tuple(circulant.apply(_CENTER_ROW, t.vertices).tolist()))
 
 
 def circumcenter(t: PlaneTriangle) -> tuple[complex, float]:

@@ -15,6 +15,9 @@ SQRT3 = math.sqrt(3.0)
 METHOD1 = CirculantSpec((0.5, 0.5, 0.0))
 SKIP6 = CirculantSpec((0.5, 0.0, 0.5, 0.0, 0.0, 0.0))
 INTERIOR_ZERO = CirculantSpec((0.4, 0.0, 0.0, 0.35, 0.25))
+# A complex row summing to 1 with eigenvalues 1, 1/4 - sqrt(3)/10 and
+# 1/4 + sqrt(3)/10: it contracts toward the mean of the vector.
+HERMITIAN3 = CirculantSpec((0.5, 0.25 + 0.1j, 0.25 - 0.1j))
 
 
 def ngon_spec(n, k):
@@ -66,13 +69,28 @@ class TestSpecValidation:
             CirculantSpec(())
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            CirculantSpec((0.5, math.inf, 0.0))
+        for bad in (math.inf, complex(0, math.inf), complex(math.nan, 0)):
+            with pytest.raises(ValueError):
+                CirculantSpec((0.5, bad, 0.0))
 
     def test_row_stochastic_flag(self):
         assert METHOD1.is_row_stochastic()
         assert not CirculantSpec((0.5, 0.75)).is_row_stochastic()
         assert not CirculantSpec((1.5, -0.5)).is_row_stochastic()
+        # complex coefficients summing to 1 are not a stochastic row
+        assert not HERMITIAN3.is_row_stochastic()
+        assert not CirculantSpec((1 + 0j, 0.0)).is_row_stochastic()
+
+    def test_row_kind(self):
+        # a real row stays floats, whatever number types it was given in
+        coeffs = CirculantSpec((1, np.float64(0.5), True)).coeffs
+        assert coeffs == (1.0, 0.5, 1.0)
+        assert all(type(c) is float for c in coeffs)
+        # one complex coefficient, Python or numpy, makes the whole row complex
+        for z in (0.5j, np.complex128(0.5j), np.complex64(0.5j)):
+            coeffs = CirculantSpec((0.5, z)).coeffs
+            assert coeffs == (0.5, 0.5j)
+            assert all(type(c) is complex for c in coeffs)
 
     def test_matrix_rows_are_shifts(self):
         mat = SKIP6.as_matrix()
@@ -162,6 +180,24 @@ class TestApply:
         with pytest.raises(ValueError):
             circulant.apply(METHOD1, [1.0, 2.0])
 
+    def test_complex_vector_keeps_imaginary_part(self):
+        half = CirculantSpec((0.5, 0.5))
+        for v in (np.array([1j, 0]), [1j, 0], (1j, 0.0)):
+            out = circulant.apply(half, v)
+            assert out.dtype == complex
+            assert out.tolist() == [0.5j, 0.5j]
+        assert circulant.apply(half, [1, 0]).dtype == float
+
+    def test_complex_row_matches_dense_matrix(self):
+        rng = np.random.default_rng(10)
+        for n in (1, 3, 5, 16):
+            spec = CirculantSpec(tuple(rng.normal(size=n) + 1j * rng.normal(size=n)))
+            z = rng.normal(size=n) + 1j * rng.normal(size=n)
+            assert np.max(np.abs(circulant.apply(spec, z) - spec.as_matrix() @ z)) <= 1e-14 * n
+            # a real vector under a complex row gives the complex product
+            x = rng.normal(size=n)
+            assert np.max(np.abs(circulant.apply(spec, x) - spec.as_matrix() @ x)) <= 1e-14 * n
+
     def test_matches_dense_matrix(self):
         rng = np.random.default_rng(7)
         for n in (3, 6, 11, 64):
@@ -217,6 +253,18 @@ class TestFixedSpaceLimit:
                 w = circulant.apply(spec, w)
             assert np.max(np.abs(w - circulant.fixed_space_limit(spec, v))) < 1e-10
 
+    def test_complex_row_limit_matches_power_iteration(self):
+        # the limit of a complex row, or of a complex vector, stays complex
+        for spec, v in ((HERMITIAN3, [1j, 2.0, 0.0]), (METHOD1, [1j, 2.0, 0.0]),
+                        (HERMITIAN3, [1.0, 2.0, 0.0])):
+            w = np.array(v)
+            for _ in range(200):
+                w = circulant.apply(spec, w)
+            limit = circulant.fixed_space_limit(spec, v)
+            assert limit.dtype == complex
+            assert np.max(np.abs(limit - w)) <= 1e-14
+            assert np.max(np.abs(limit - np.mean(v))) <= 1e-15
+
     def test_non_contracting_rejected(self):
         shift = CirculantSpec((0.0, 1.0, 0.0))
         with pytest.raises(NonContractingError):
@@ -248,6 +296,11 @@ class TestContractionFactor:
                 assert circulant.contraction_factor(ngon_spec(n, k)) == pytest.approx(
                     expect, abs=1e-13
                 )
+
+    def test_complex_row(self):
+        assert circulant.contraction_factor(HERMITIAN3) == pytest.approx(
+            0.25 + math.sqrt(3) / 10, abs=1e-15
+        )
 
     def test_identity_has_nothing_to_contract(self):
         assert circulant.contraction_factor(CirculantSpec((1.0, 0.0, 0.0))) == 0.0

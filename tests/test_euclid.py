@@ -37,6 +37,16 @@ def mirror(t):
     return PlaneTriangle(tuple(z.conjugate() for z in t.vertices))
 
 
+# Reference per-side formulas for the apex and the center of the equilateral
+# triangle erected on side (za, zb); napoleon's circulant rows must match them.
+def formula_apex(za, zb):
+    return (za + zb) / 2 + 1j * SQRT3 * (za - zb) / 2
+
+
+def formula_side_center(za, zb):
+    return (za + zb) / 2 + 1j / SQRT3 * (za - zb) / 2
+
+
 class TestEquilateralDefect:
     def test_roots_of_unity(self):
         t = PlaneTriangle((1, OMEGA, OMEGA**2))
@@ -60,6 +70,16 @@ class TestEquilateralDefect:
             d1 = euclid.equilateral_defect(PlaneTriangle(tuple(z + shift for z in zs)))
             scale_sq = max(abs(zs[0] - zs[1]), abs(zs[1] - zs[2]), abs(zs[2] - zs[0])) ** 2
             assert abs(d1 - d0) <= 1e-10 * max(scale_sq, abs(shift) ** 2, 1.0)
+
+    def test_is_product_of_the_two_rotating_fourier_modes(self):
+        # defect = -F_1 F_2 / 3 with F_k = sum_j z_j w^(jk): it vanishes
+        # exactly when one rotating mode does.  Bound fixed before measuring.
+        rng = np.random.default_rng(12)
+        for _ in range(1000):
+            zs = rng.normal(size=3) + 1j * rng.normal(size=3)
+            f1, f2 = (sum(z * OMEGA ** (j * k) for j, z in enumerate(zs)) for k in (1, 2))
+            defect = euclid.equilateral_defect(PlaneTriangle(tuple(zs)))
+            assert abs(defect + f1 * f2 / 3) <= 1e-13 * np.sum(np.abs(zs)) ** 2
 
 
 class TestNapoleon:
@@ -98,6 +118,20 @@ class TestNapoleon:
     def test_coincident_vertices_rejected(self):
         with pytest.raises(DegenerateTriangleError):
             euclid.napoleon(PlaneTriangle((1 + 1j, 1 + 1j, 0)))
+
+    def test_matches_side_formulas(self):
+        # the circulant rows agree with the per-side formulas to rounding,
+        # relative to the vertex magnitudes, over sizes and offsets 1e-3..1e3
+        rng = np.random.default_rng(14)
+        for _ in range(2000):
+            zs = (rng.normal(size=3) + 1j * rng.normal(size=3)) * 10.0 ** rng.uniform(-3, 3)
+            zs += complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-3, 3)
+            apices, centers = euclid.napoleon(PlaneTriangle(tuple(zs)))
+            scale = max(abs(z) for z in zs)
+            for j in range(3):
+                za, zb = zs[j], zs[(j + 1) % 3]
+                assert abs(apices[j] - formula_apex(za, zb)) <= 1e-14 * scale
+                assert abs(centers.vertices[j] - formula_side_center(za, zb)) <= 1e-14 * scale
 
 
 class TestCircumcenter:
