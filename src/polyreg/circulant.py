@@ -131,51 +131,40 @@ def contraction_factor(spec: CirculantSpec) -> float:
     return _unit_split(eigenvalues(spec))[1]
 
 
+def _raw(gaps: np.ndarray, m: int) -> np.ndarray:
+    return gaps
+
+
 @dataclass(frozen=True)
 class Run:
-    """Outcome of iterate(): the start and last vectors and the step count.
+    """Outcome of iterate(): the start and last vectors, the step count and
+    the geometry's decoder; decode(gaps, m) is the polygon after m steps.
 
     Nothing per step is stored, so a run holds O(n) state however long it
-    was.  steps() replays the orbit with the same arithmetic, which makes
-    every replayed vector bit-identical to the one the run stepped through.
+    was, in any geometry.  gap_steps() replays the orbit with the same
+    arithmetic, which makes every replayed vector bit-identical to the one
+    the run stepped through; final and steps() decode on demand.
     """
 
     spec: CirculantSpec
     start: np.ndarray
     target: np.ndarray
-    final: np.ndarray
+    last: np.ndarray
     iterations: int
     converged: bool
-
-    def steps(self) -> Iterator[np.ndarray]:
-        """start, A start, ..., final: the iterations + 1 vectors, lazily."""
-        return islice(_orbit(self.spec, self.start), self.iterations + 1)
-
-
-@dataclass(frozen=True)
-class Regularization:
-    """A run and its geometry's decoder: decode(gaps, m) is the polygon
-    after m steps.  Every polygon comes from the run's gaps on demand, so a
-    regularization keeps the run's O(n) state in any geometry."""
-
-    run: Run
-    decode: Callable[[np.ndarray, int], object]
-
-    @property
-    def iterations(self) -> int:
-        return self.run.iterations
-
-    @property
-    def converged(self) -> bool:
-        return self.run.converged
+    decode: Callable[[np.ndarray, int], object] = _raw
 
     @property
     def final(self):
-        return self.decode(self.run.final, self.run.iterations)
+        return self.decode(self.last, self.iterations)
+
+    def gap_steps(self) -> Iterator[np.ndarray]:
+        """start, A start, ..., last: the iterations + 1 vectors, lazily."""
+        return islice(_orbit(self.spec, self.start), self.iterations + 1)
 
     def steps(self) -> Iterator:
-        """The iterations + 1 polygons, input to final, decoded lazily."""
-        return (self.decode(gaps, m) for m, gaps in enumerate(self.run.steps()))
+        """decode of each of gap_steps(), input to final, lazily."""
+        return (self.decode(gaps, m) for m, gaps in enumerate(self.gap_steps()))
 
 
 def _orbit(spec: CirculantSpec, v: np.ndarray) -> Iterator[np.ndarray]:
@@ -186,12 +175,13 @@ def _orbit(spec: CirculantSpec, v: np.ndarray) -> Iterator[np.ndarray]:
         v = coeffs @ v[index]
 
 
-def iterate(spec: CirculantSpec, v0, target, tol: float, max_iter: int) -> Run:
+def iterate(spec: CirculantSpec, v0, target, tol: float, max_iter: int, decode=_raw) -> Run:
     """Apply the circulant until within max-norm `tol` of `target`.
 
-    This is the one iteration behind every regularization.  Convergence is
-    checked before each application, so a vector already at the target, or
-    a run with max_iter=0, reports zero iterations.
+    This is the one iteration behind every regularization; the returned run
+    decodes through `decode` (by default the gap vector itself).
+    Convergence is checked before each application, so a vector already at
+    the target, or a run with max_iter=0, reports zero iterations.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -203,7 +193,7 @@ def iterate(spec: CirculantSpec, v0, target, tol: float, max_iter: int) -> Run:
     for m, v in enumerate(_orbit(spec, start)):
         converged = bool(np.max(np.abs(v - target)) < tol)
         if converged or m >= max_iter:
-            return Run(spec, start, target, v, m, converged)
+            return Run(spec, start, target, v, m, converged, decode)
 
 
 def predict_iterations(spec: CirculantSpec, initial_deviation_norm: float, tol: float) -> int:

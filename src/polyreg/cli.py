@@ -15,6 +15,7 @@ its --trace file itself.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -76,7 +77,7 @@ def _cmd_regularize(args) -> dict:
     elif args.geometry == "sphere":
         polygon = spherical.SphericalPolygon(_sphere_points(data))
         result = spherical.regularize(polygon, k=args.k, tol=args.tol, max_iter=args.max_iter)
-        outcome = {"final": [list(map(float, v)) for v in result.final.vertices]}
+        outcome = {"final": result.final.vertices.tolist()}
     else:
         points = _float_array(data, (None,), "hyperbolic input must be a JSON array of numbers")
         boundary = hyperbolic.BoundaryPoints(tuple(points))
@@ -88,10 +89,9 @@ def _cmd_regularize(args) -> dict:
             "final_boundary": list(final.points),
             "final_vertices": _complex_pairs(hyperbolic.polygon_from_boundary(final)),
         }
-    run = result.run
     if args.trace:
-        emit.write_trace(args.trace, run.steps(), run.target, args.format)
-    return {"geometry": args.geometry, "converged": run.converged, "iterations": run.iterations, **outcome}
+        emit.write_trace(args.trace, result.gap_steps(), result.target, args.format)
+    return {"geometry": args.geometry, "converged": result.converged, "iterations": result.iterations, **outcome}
 
 
 def _cmd_eigen(args) -> list[dict]:
@@ -117,31 +117,20 @@ def _cmd_napoleon(args) -> dict:
     if pts.shape[0] != 3:
         raise ValueError("sphere napoleon expects exactly three points")
     result = spherical.napoleon_sphere(pts[0], pts[1], pts[2])
-    return {
-        "geometry": "sphere",
-        "vertices": [list(map(float, v)) for v in result.vertices],
-    }
+    return {"geometry": "sphere", "vertices": result.vertices.tolist()}
 
 
 def _cmd_fit(args) -> dict:
     pts = _sphere_points(_load_json(args.input))
     axis, cos_radius = spherical.fit_small_circle(pts)
-    return {"axis": list(map(float, axis)), "cos_radius": cos_radius}
+    return {"axis": axis.tolist(), "cos_radius": cos_radius}
 
 
 def _cmd_analyze(args) -> dict:
     matrix = _float_array(
         _load_json(args.matrix), (None, None), "matrix must be a JSON array of equal-length rows"
     )
-    report = analyzer.classify(analyzer.LinearAngleTransform(matrix))
-    return {
-        "preserves_sum": report.preserves_sum,
-        "fixes_regular": report.fixes_regular,
-        "attracting": report.attracting,
-        "jordan_class": report.jordan_class,
-        "rotation_params": list(report.rotation_params) if report.rotation_params else None,
-        "structure": list(report.structure),
-    }
+    return dataclasses.asdict(analyzer.classify(analyzer.LinearAngleTransform(matrix)))
 
 
 def _cmd_experiment_table1(args) -> list[dict]:

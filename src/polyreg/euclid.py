@@ -159,7 +159,7 @@ def step_spec(n: int, k: int) -> circulant.CirculantSpec:
 
 
 def rotate_on_circle(start: float, gaps: np.ndarray, k: int, tol: float, max_iter: int,
-                     place: Callable[[np.ndarray], object]) -> circulant.Regularization:
+                     place: Callable[[np.ndarray], object]) -> circulant.Run:
     """Turn every vertex about the circle's center by its own gap over k
     until every gap is within tol of 2*pi/n.
 
@@ -168,15 +168,15 @@ def rotate_on_circle(start: float, gaps: np.ndarray, k: int, tol: float, max_ite
     decodes vertex 0 in closed form and the rest by the gaps.
     """
     n = len(gaps)
-    run = circulant.iterate(step_spec(n, k), gaps, np.full(n, _TWO_PI / n), tol, max_iter)
 
-    def decode(gaps: np.ndarray, m: int):
-        return place(positions_from_gaps(vertex0_azimuth(start, run.start, gaps, m, k), gaps))
+    def decode(last: np.ndarray, m: int):
+        # Reads the caller's gaps, equal to the run's start: no copy, no cycle through the run.
+        return place(positions_from_gaps(vertex0_azimuth(start, gaps, last, m, k), last))
 
-    return circulant.Regularization(run, decode)
+    return circulant.iterate(step_spec(n, k), gaps, np.full(n, _TWO_PI / n), tol, max_iter, decode)
 
 
-def regularize(t: PlaneTriangle, k: int, tol: float, max_iter: int) -> circulant.Regularization:
+def regularize(t: PlaneTriangle, k: int, tol: float, max_iter: int) -> circulant.Run:
     """Rotate every vertex about the circumcenter by its own gap over k until
     every gap is within tol of 2*pi/3; the run decodes to PlaneTriangles.
 

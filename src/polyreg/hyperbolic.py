@@ -128,7 +128,7 @@ def limit_gaps(gaps: np.ndarray) -> np.ndarray:
     return out
 
 
-def regularize_hyperbolic(bp: BoundaryPoints, tol: float, max_iter: int) -> circulant.Regularization:
+def regularize_hyperbolic(bp: BoundaryPoints, tol: float, max_iter: int) -> circulant.Run:
     """Average every boundary gap with its same-parity neighbour until
     within max-norm tol of the alternating limit.
 
@@ -136,9 +136,9 @@ def regularize_hyperbolic(bp: BoundaryPoints, tol: float, max_iter: int) -> circ
     vertices), accumulated from the first boundary point, which stays put.
     """
     gaps = gaps_from_points(bp)
-    run = circulant.iterate(gap_step_spec(2 * bp.n), gaps, limit_gaps(gaps), tol, max_iter)
     anchor = bp.points[0]
-    return circulant.Regularization(run, lambda gaps, m: points_from_gaps(gaps, anchor))
+    return circulant.iterate(gap_step_spec(2 * bp.n), gaps, limit_gaps(gaps), tol, max_iter,
+                             lambda last, m: points_from_gaps(last, anchor))
 
 
 def check_regular(bp: BoundaryPoints, tol: float) -> bool:

@@ -237,7 +237,7 @@ def from_cyclic_frame(f: CyclicFrame) -> SphericalPolygon:
     return _ring(f.axis, f.cos_radius, euclid.positions_from_gaps(f.start, f.gaps))
 
 
-def regularize(p: SphericalPolygon, k: int, tol: float, max_iter: int) -> circulant.Regularization:
+def regularize(p: SphericalPolygon, k: int, tol: float, max_iter: int) -> circulant.Run:
     """Rotate every vertex about the axis by its own gap over k
     (euclid.rotate_on_circle) until every gap is within tol of 2*pi/n; the
     run decodes to SphericalPolygons.
@@ -248,7 +248,6 @@ def regularize(p: SphericalPolygon, k: int, tol: float, max_iter: int) -> circul
     those first).
     """
     frame = p.frame
-    # The decoder holds the axis and dot, not the frame: its gaps would duplicate run.start.
     place = functools.partial(_ring, frame.axis, frame.cos_radius)
     return euclid.rotate_on_circle(frame.start, frame.gaps, k, tol, max_iter, place)
 

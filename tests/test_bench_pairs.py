@@ -66,6 +66,32 @@ def test_compare_reads_every_metric_in_order(bench_pairs):
     assert metrics["a"]["change_runs"] == [2 * p for p in PARENT]
 
 
+def test_phase_seconds_by_name(bench_pairs):
+    line = "setup and warm-up 1.4, timed 21.2, checks 10.1, memory pass 3.0"
+    assert bench_pairs.phase_seconds(line) == {
+        "setup and warm-up": 1.4, "timed": 21.2, "checks": 10.1, "memory pass": 3.0,
+    }
+    assert bench_pairs.phase_seconds("") == {}
+
+
+def test_phase_medians_per_side(bench_pairs):
+    runs = {
+        "parent": [{"phases": f"setup and warm-up 1.0, timed {t}, checks {c}, traced pass 2.0"}
+                   for t, c in ((20.5, 49.6), (21.0, 40.0), (23.0, 45.0))],
+        "change": [{"phases": "setup and warm-up 1.0, timed 20.0, checks 9.5, memory pass 2.0"},
+                   {"phases": ""},
+                   {"phases": "setup and warm-up 1.0, timed 22.0, checks 10.5, memory pass 2.0"}],
+    }
+    assert bench_pairs.phase_medians(runs) == {
+        "parent": {"timed": 21.0, "checks": 45.0},
+        "change": {"timed": 21.0, "checks": 10.0},
+    }
+    assert bench_pairs.phase_medians({"parent": [{"phases": ""}], "change": []}) == {
+        "parent": {"timed": None, "checks": None},
+        "change": {"timed": None, "checks": None},
+    }
+
+
 def test_options_come_from_benchmark_json(bench_pairs):
     spec = {"workloads": [{"name": "w1"}, {"name": "w2"}], "run_seconds": 20}
     args = bench_pairs.parse_args(["--base", "HEAD", "--workload", "w2", "--seed0", "7", "--out", "f"], spec)

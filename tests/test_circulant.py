@@ -348,6 +348,33 @@ class TestIterateUntil:
                 assert np.allclose(spec.as_matrix() @ before, after, atol=1e-14)
             assert all(np.array_equal(a, b) for a, b in zip(run.steps(), steps))
 
+    def test_default_decode_is_the_gap_vector(self):
+        run = circulant.iterate(METHOD1, [0.5, 0.25, 0.25], np.full(3, 1 / 3), tol=1e-6, max_iter=100)
+        assert run.final is run.last
+        steps, gap_steps = list(run.steps()), list(run.gap_steps())
+        assert len(steps) == len(gap_steps) == run.iterations + 1 > 1
+        assert all(np.array_equal(a, b) for a, b in zip(steps, gap_steps))
+
+    def test_decoder_runs_on_demand_only(self):
+        calls = []
+
+        def decode(gaps, m):
+            calls.append(m)
+            return m, gaps
+
+        run = circulant.iterate(METHOD1, [0.5, 0.25, 0.25], np.full(3, 1 / 3), tol=1e-6, max_iter=100,
+                                decode=decode)
+        n = run.iterations
+        assert calls == [] and n > 1
+        assert run.final[0] == n and run.final[1] is run.last
+        assert calls == [n, n]
+        steps = run.steps()
+        assert calls == [n, n]
+        decoded = list(steps)
+        assert calls == [n, n, *range(n + 1)]
+        assert [m for m, _ in decoded] == list(range(n + 1))
+        assert all(np.array_equal(g, want) for (_, g), want in zip(decoded, run.gap_steps()))
+
     def test_no_contraction_never_converges(self):
         shift = CirculantSpec((0.0, 1.0, 0.0))
         run = circulant.iterate(shift, [1.0, 2.0, 3.0], [2.0, 2.0, 2.0], tol=1e-9, max_iter=25)
@@ -530,6 +557,7 @@ class TestRegularization:
     )
     def test_steps_run_from_input_to_final(self, make):
         polygon, result = make()
+        assert isinstance(result, circulant.Run)
         steps = list(result.steps())
         assert result.converged and len(steps) == result.iterations + 1 > 1
         assert np.max(np.abs(coordinates(steps[0]) - coordinates(polygon))) <= DECODE_TOL

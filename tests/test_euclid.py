@@ -254,7 +254,7 @@ class TestPlaneRun:
         # the run on its counter-clockwise mirror image
         t = PlaneTriangle(vertices)
         result = euclid.regularize(t, k=k, tol=tol, max_iter=max_iter)
-        run, final = result.run, result.final
+        run, final = result, result.final
         turn = euclid.circle_frame(t)[2]
         stepped = t if turn == 1 else mirror(t)
         for _ in range(run.iterations):
@@ -267,7 +267,7 @@ class TestPlaneRun:
 
     def test_gap_run_is_the_half_step_circulant(self):
         t = PlaneTriangle((0, 1, 1j))
-        run = euclid.regularize(t, k=2, tol=1e-9, max_iter=200).run
+        run = euclid.regularize(t, k=2, tol=1e-9, max_iter=200)
         assert run.spec.coeffs == (0.5, 0.5, 0.0)
         assert np.array_equal(run.target, np.full(3, 2 * math.pi / 3))
         assert np.array_equal(run.start, euclid.angle_gaps(t)[2])

@@ -307,7 +307,7 @@ class TestRegularize:
         result = hyperbolic.regularize_hyperbolic(HEX_EXAMPLE, tol=1e-9, max_iter=200)
         assert result.converged
         limit = hyperbolic.limit_gaps(hyperbolic.gaps_from_points(HEX_EXAMPLE))
-        norms = [np.linalg.norm(g - limit) for g in result.run.steps()]
+        norms = [np.linalg.norm(g - limit) for g in result.gap_steps()]
         for before, after in zip(norms, norms[1:]):
             assert after == pytest.approx(before / 2, rel=1e-9)
 

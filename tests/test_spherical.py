@@ -251,7 +251,7 @@ class TestRegularize:
         result = spherical.regularize(poly, k=2, tol=1e-6, max_iter=100)
         assert result.converged
         target = TWO_PI / 3
-        steps = list(result.run.steps())
+        steps = list(result.gap_steps())
         norms = [np.linalg.norm(g - target) for g in steps]
         for before, after in zip(norms, norms[1:]):
             assert after == pytest.approx(before / 2, rel=1e-9)
@@ -273,7 +273,7 @@ class TestRegularize:
         assert result.converged
         vertex0 = poly.vertices[0]
         turned = np.zeros(n)
-        steps = list(result.run.steps())
+        steps = list(result.gap_steps())
         for gaps in steps[:-1]:
             vertex0 = spherical.rotation_about_axis(axis, gaps[0] / k) @ vertex0
             turned += gaps / k

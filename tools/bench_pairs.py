@@ -16,7 +16,8 @@ for another workload is kept.  Per end-to-end metric of BENCHMARK.json it
 records each side's median, the base's quartiles, the pairs the change won
 (ties count for neither), the relative change and whether that stays
 within the metric's bound; per run, `correct`, `failed` and the run's
-`phase seconds` line.
+`phase seconds` line, whose `timed` and `checks` seconds are summarized by
+their median per side and printed after the last pair.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PHASES = ("timed", "checks")  # the phases summarized per side
 PAIRS = 10  # the fewest pairs a gain may be claimed on
 
 
@@ -105,6 +107,23 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
     }
 
 
+def phase_seconds(line: str) -> dict[str, float]:
+    """A `phase seconds` line by phase: "timed 21.2, checks 10.1" gives
+    {"timed": 21.2, "checks": 10.1}."""
+    parts = (part.rpartition(" ") for part in line.split(", "))
+    return {name: float(value) for name, _, value in parts if name}
+
+
+def phase_medians(runs: dict[str, list[dict]]) -> dict[str, dict]:
+    """Per side, the median seconds of each of PHASES over the runs that report it."""
+    medians = {}
+    for side in SIDES:
+        parsed = [phase_seconds(run["phases"]) for run in runs[side]]
+        values = {phase: [p[phase] for p in parsed if phase in p] for phase in PHASES}
+        medians[side] = {phase: statistics.median(v) if v else None for phase, v in values.items()}
+    return medians
+
+
 def compare(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
     """Per-metric summaries of the paired runs, in BENCHMARK.json's order."""
     metrics = {}
@@ -138,6 +157,9 @@ def main(argv=None) -> int:
                 runs[side].append(run)
                 print(f"pair {i + 1}/{PAIRS} {side}: correct={run['correct']} failed={run['failed']} "
                       f"ops_per_s={run['metrics'].get('ops_per_s')} phases: {run['phases']}", flush=True)
+    phases = phase_medians(runs)
+    for side in SIDES:
+        print(f"{side} median seconds: " + ", ".join(f"{k} {v}" for k, v in phases[side].items()), flush=True)
     doc.setdefault("workloads", {})[args.workload] = {
         "base": sha,
         "command": f"python3 bench/run.py --workload {args.workload} --seed S --seconds {seconds:g}",
@@ -147,6 +169,7 @@ def main(argv=None) -> int:
         "all_correct": all(run["correct"] for side in SIDES for run in runs[side]),
         "failed_ops": {side: sum(run["failed"] for run in runs[side]) for side in SIDES},
         "metrics": compare(runs, spec["end_to_end"]),
+        "phase_medians": phases,
         "runs": {side: [{k: run[k] for k in ("seed", "correct", "attempted", "failed", "phases")}
                         for run in runs[side]] for side in SIDES},
     }
