@@ -78,13 +78,13 @@ def test_phase_medians_per_side(bench_pairs):
     runs = {
         "parent": [{"phases": f"setup and warm-up 1.0, timed {t}, checks {c}, traced pass 2.0"}
                    for t, c in ((20.5, 49.6), (21.0, 40.0), (23.0, 45.0))],
-        "change": [{"phases": "setup and warm-up 1.0, timed 20.0, checks 9.5, memory pass 2.0"},
+        "change": [{"phases": "setup and warm-up 1.0, timed 20.0, checks 10.4, memory pass 2.0"},
                    {"phases": ""},
-                   {"phases": "setup and warm-up 1.0, timed 22.0, checks 10.5, memory pass 2.0"}],
+                   {"phases": "setup and warm-up 1.0, timed 22.0, checks 10.8, memory pass 2.0"}],
     }
     assert bench_pairs.phase_medians(runs) == {
         "parent": {"timed": 21.0, "checks": 45.0},
-        "change": {"timed": 21.0, "checks": 10.0},
+        "change": {"timed": 21.0, "checks": 10.6},  # (10.4 + 10.8) / 2 is 10.600000000000001
     }
     assert bench_pairs.phase_medians({"parent": [{"phases": ""}], "change": []}) == {
         "parent": {"timed": None, "checks": None},

@@ -120,7 +120,8 @@ def phase_medians(runs: dict[str, list[dict]]) -> dict[str, dict]:
     for side in SIDES:
         parsed = [phase_seconds(run["phases"]) for run in runs[side]]
         values = {phase: [p[phase] for p in parsed if phase in p] for phase in PHASES}
-        medians[side] = {phase: statistics.median(v) if v else None for phase, v in values.items()}
+        # The line has tenths of a second; rounding drops the float noise of a two-value median.
+        medians[side] = {phase: round(statistics.median(v), 3) if v else None for phase, v in values.items()}
     return medians
 
 
