@@ -157,17 +157,9 @@ def circumcenter_triangle(z0, z1, z2) -> np.ndarray:
     The sign follows the orientation of the triple, so the vertices wind
     counter-clockwise about the returned axis; the common dot product is
     negative when the triple is ordered clockwise around its near pole.
+    A triple that rounds to degenerate has its rotations tried too.
     """
-    z0, z1, z2 = _unit_rows([z0, z1, z2], "points")
-    d1, d2 = z1 - z0, z2 - z0
-    cross = _cross(d1, d2)
-    norm = _norm(cross)
-    span = max(_norm(d1), _norm(d2), _norm(z2 - z1))
-    if not norm > 1e-12 * max(span * span, 1e-30):
-        raise DegenerateConfigurationError(
-            "vertex differences do not span a plane; no circumcircle"
-        )
-    return cross / norm
+    return _candidate_axis(_unit_rows([z0, z1, z2], "points"))
 
 
 def _complete_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,29 +177,33 @@ def _azimuths(axis: np.ndarray, vertices: np.ndarray) -> np.ndarray:
 
 
 def _candidate_axis(vertices: np.ndarray) -> np.ndarray:
+    """(z1 - z0) x (z2 - z0), normalized, of the first spread triple
+    (i, i + n//3, i + 2n//3) of checked unit rows that spans a plane;
+    unlike adjacent triples, those keep the axis error at rounding level
+    for any n."""
     n = vertices.shape[0]
-    last_error: Exception | None = None
     for i in range(n):
-        try:
-            return circumcenter_triangle(
-                vertices[i], vertices[(i + 1) % n], vertices[(i + 2) % n]
-            )
-        except DegenerateConfigurationError as exc:
-            last_error = exc
+        z0, z1, z2 = vertices[i], vertices[(i + n // 3) % n], vertices[(i + 2 * n // 3) % n]
+        d1, d2 = z1 - z0, z2 - z0
+        cross = _cross(d1, d2)
+        norm = _norm(cross)
+        span = max(_norm(d1), _norm(d2), _norm(z2 - z1))
+        if norm > 1e-12 * max(span * span, 1e-30):
+            return cross / norm
     raise DegenerateConfigurationError(
-        "no vertex triple determines an axis"
-    ) from last_error
+        "vertex differences do not span a plane; no circumcircle"
+    )
 
 
 def to_cyclic_frame(p: SphericalPolygon) -> CyclicFrame:
     """Axis, common dot value, ccw gaps and vertex 0's azimuth of a cyclic
     polygon; from_cyclic_frame inverts it.
 
-    For triangles the axis is constructed outright; for larger polygons a
-    shared axis must already exist: all vertex dots against the candidate
-    axis have to agree within 1e-8, otherwise NotCyclicError.  The axis
-    comes from circumcenter_triangle, so a polygon that winds once winds
-    ccw about it; one that does not (a star) is NotCyclicError too.
+    The axis comes from the spread triple (0, n//3, 2n//3), or a later
+    one if that does not span a plane (_candidate_axis); beyond triangles
+    all vertex dots against it have to agree within 1e-8, otherwise
+    NotCyclicError.  A polygon that winds once winds ccw about the axis;
+    one that does not (a star) is NotCyclicError too.
     """
     v = p.vertices
     axis = _candidate_axis(v)
@@ -303,8 +299,8 @@ def napoleon_sphere(z0, z1, z2) -> SphericalPolygon:
     regular about the original axis (nor about its own); the regression
     tests record this behaviour.
     """
-    z0, z1, z2 = _unit_rows([z0, z1, z2], "points")
-    axis = circumcenter_triangle(z0, z1, z2)
+    z0, z1, z2 = rows = _unit_rows([z0, z1, z2], "points")
+    axis = _candidate_axis(rows)
     cos_radius = float(axis @ z0)
     if cos_radius <= 0.0:
         raise ValueError(

@@ -140,18 +140,38 @@ class TestCyclicFrame:
             assert np.allclose(back.axis, frame.axis, atol=1e-9)
 
     def test_clockwise_input_gets_flipped_axis(self):
-        ccw = ring_polygon(E3, 0.8, [0.0, 1.0, 2.5, 4.0])
-        cw = SphericalPolygon(np.array(ccw.vertices)[::-1])
-        frame = spherical.to_cyclic_frame(cw)
-        assert np.allclose(frame.axis, -E3, atol=1e-12)
-        assert math.fsum(frame.gaps) == pytest.approx(TWO_PI, abs=1e-10)
+        for azimuths in ([0.0, 1.0, 2.5, 4.0], [0.0, 0.7, 1.5, 2.5, 3.3, 4.4, 5.5]):
+            ccw = ring_polygon(E3, 0.8, azimuths)
+            cw = SphericalPolygon(np.array(ccw.vertices)[::-1])
+            frame = spherical.to_cyclic_frame(cw)
+            assert np.allclose(frame.axis, -E3, atol=1e-12)
+            assert math.fsum(frame.gaps) == pytest.approx(TWO_PI, abs=1e-10)
 
     def test_star_polygon_rejected(self):
-        # a consecutive triple winds clockwise, so the axis flips to -E3, and
-        # about either axis the azimuths wind twice
-        star = ring_polygon(E3, 1.0, [0.0, math.pi, 0.5 * math.pi, 1.5 * math.pi])
-        with pytest.raises(NotCyclicError):
-            spherical.to_cyclic_frame(star)
+        # the square star's first triple winds clockwise, so the axis flips
+        # to -E3, and about either axis the azimuths wind twice; the {5/2},
+        # {7/2} and {7/3} stars get +-E3 from a spread triple and wind more
+        # than once about it
+        stars = [[0.0, math.pi, 0.5 * math.pi, 1.5 * math.pi]] + [
+            [TWO_PI * m * j / n for j in range(n)] for n, m in ((5, 2), (7, 2), (7, 3))
+        ]
+        for azimuths in stars:
+            with pytest.raises(NotCyclicError):
+                spherical.to_cyclic_frame(ring_polygon(E3, 1.0, azimuths))
+
+    def test_axis_well_conditioned_at_large_n(self):
+        # exact rings, jittered about regular azimuths so that adjacent
+        # vertices stay apart; an adjacent triple of a fine polygon is
+        # nearly collinear, a spread triple is not
+        rng = np.random.default_rng(61)
+        for n in (5, 64, 256, 1024, 4096):
+            for cos_radius in (0.0, 0.999):
+                for _ in range(10):
+                    axis = spherical.unit_vector(rng.normal(size=3))
+                    jitter = rng.uniform(-0.4, 0.4, n)
+                    azimuths = (np.arange(n) + jitter) * (TWO_PI / n) + rng.uniform(-math.pi, math.pi)
+                    frame = spherical._ring(axis, cos_radius, azimuths).frame
+                    assert np.max(np.abs(frame.axis - axis)) <= 1e-14, (n, cos_radius)
 
     def test_frame_validation(self):
         with pytest.raises(ValueError):
@@ -311,6 +331,16 @@ class TestRegularize:
         for step in result.steps():
             dots = step.vertices @ frame.axis
             assert np.max(np.abs(dots - frame.cos_radius)) < 1e-9
+
+    def test_final_stays_on_input_circle_at_large_n(self):
+        rng = np.random.default_rng(67)
+        n, cos_radius = 1024, 0.3
+        axis = spherical.unit_vector(rng.normal(size=3))
+        azimuths = (np.arange(n) + rng.uniform(-0.4, 0.4, n)) * (TWO_PI / n)
+        result = spherical.regularize(spherical._ring(axis, cos_radius, azimuths),
+                                      k=2, tol=1e-12, max_iter=200)
+        assert result.iterations == 200
+        assert np.max(np.abs(result.final.vertices @ axis - cos_radius)) <= 1e-14
 
     def test_final_sides_equal(self):
         rng = np.random.default_rng(29)
