@@ -224,8 +224,11 @@ def _ring(axis: np.ndarray, cos_radius: float, azimuths: np.ndarray) -> Spherica
     """Vertices on the circle of axis-dot cos_radius at the given azimuths."""
     e1, e2 = _complete_frame(axis)
     sin_radius = math.sqrt(max(0.0, 1.0 - cos_radius * cos_radius))
-    ring = np.outer(np.cos(azimuths), e1) + np.outer(np.sin(azimuths), e2)
-    return SphericalPolygon(cos_radius * axis + sin_radius * ring)
+    ring = np.outer(np.cos(azimuths), e1)
+    ring += np.outer(np.sin(azimuths), e2)
+    ring *= sin_radius
+    ring += cos_radius * axis
+    return SphericalPolygon(ring)
 
 
 def from_cyclic_frame(f: CyclicFrame) -> SphericalPolygon:

@@ -71,3 +71,14 @@ def test_table1_extracts_one_frame_per_trial(workloads, tmp_path):
     assert trials > 0
     assert tracer.frames_per_trial() == 1.0
     assert tracer.stat("experiment.random_spherical_triangle", "calls") == trials
+
+
+def test_table1_peak_below_bound(monkeypatch):
+    """The table1 op's peak_mem_mb, per tools/peak_ops.py: a CSV write of
+    four rows must not cost a fixed 128 KiB buffer."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH.parent / "tools"))
+    import peak_ops
+
+    peaks = peak_ops.op_peaks("table1", 1)
+    assert peaks and peaks[0][0] < 0.08

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polyreg import circulant, cli, emit, euclid, hyperbolic, spherical
+from polyreg import circulant, cli, emit, euclid, experiment, hyperbolic, spherical
 from polyreg.euclid import PlaneTriangle
 
 
@@ -124,6 +124,37 @@ class TestEmit:
         path = tmp_path / "np.csv"
         emit.write_records(path, [{"a": np.float64(0.1)}], ["a"], "csv")
         assert path.read_text() == "a\n0.1\n"
+        # edge numbers: the bytes csv.writer writes for the same row
+        row = [0, -7, np.int64(3), -0.0, 5e-324, 1e-300, 0.1, 1 / 3, 1e16, 1e22,
+               math.nan, math.inf, -math.inf, np.float64(0.1)]
+        columns = [f"c_{i}" for i in range(len(row))]
+        emit.write_records(path, [dict(zip(columns, row))], columns, "csv")
+        want = tmp_path / "want.csv"
+        with want.open("w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, lineterminator="\n").writerows([columns, row])
+        assert path.read_bytes() == want.read_bytes()
+
+    def test_csv_write_peak_memory(self, tmp_path):
+        """A CSV write holds a row at a time: no fixed buffer far larger
+        than the rows themselves."""
+        config = experiment.ExperimentConfig((2, 3, 4, 5), 20, 0.005, 20, 0)
+        records = emit.experiment_records(experiment.run_table1(config))
+        rng = np.random.default_rng(5)  # the long run of test_trace_written_in_bounded_memory
+        gaps = rng.dirichlet(np.ones(16)) * 2 * math.pi
+        run = circulant.iterate(spherical.step_spec(16, 2), gaps, np.full(16, math.pi / 8), 1e-12, 10**6)
+        assert run.iterations == 1364
+        writes = [
+            (32_000, lambda path: emit.write_records(path, records, list(emit.EXPERIMENT_COLUMNS), "csv")),
+            (160_000, lambda path: emit.write_trace(path, run.steps(), run.target, "csv")),
+        ]
+        for bound, write in writes:
+            tracemalloc.start()
+            try:
+                write(tmp_path / "out.csv")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
 
     def test_rejects_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
