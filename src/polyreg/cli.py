@@ -206,12 +206,13 @@ def main(argv=None) -> int:
     try:
         with np.errstate(over="raise", invalid="raise"):
             payload = args.func(args)
-        text = json.dumps(payload, indent=2, allow_nan=False)
+        text = emit.dumps(payload)
         out = getattr(args, "out", None)
         if out and getattr(args, "format", "json") == "csv":
             emit.write_records(out, payload, args.columns)
         elif out:
-            Path(out).write_text(text + "\n", encoding="utf-8")
+            with Path(out).open("w", encoding="utf-8") as handle:
+                handle.writelines((text, "\n"))
         print(text)
     except (ValueError, OverflowError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

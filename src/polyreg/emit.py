@@ -1,7 +1,8 @@
 """CSV and JSON writers with byte-stable output.
 
 Both render a float, numpy float64 included, with float's repr (shortest
-round-trip form), so identical data always produces identical bytes.
+round-trip form), so identical data always produces identical bytes; all
+JSON comes from one encoder, `dumps`, the bytes of json.dumps(..., indent=2).
 CSV fields are numbers and column names are identifiers: none needs
 quoting, so a row is its fields' str joined by commas, the bytes
 csv.writer(lineterminator="\n") gives without its 128 KiB record buffer.
@@ -9,11 +10,11 @@ csv.writer(lineterminator="\n") gives without its 128 KiB record buffer.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,29 @@ import numpy as np
 FORMATS = ("csv", "json")
 
 EXPERIMENT_COLUMNS = ("k", "trials", "mean_iterations", "capped_fraction")
+
+
+_LEAVES = {str: encode_basestring_ascii, float: float.__repr__, int: int.__repr__,
+           bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def dumps(obj, prefix: str = "\n") -> str:
+    """The bytes of json.dumps(obj, indent=2, allow_nan=False) for str-keyed values
+    at the depth `prefix` (newline, indent); leaf subclasses go by isinstance."""
+    leaf = _LEAVES.get(type(obj))
+    if leaf is None and not isinstance(obj, (dict, list, tuple)):
+        leaf = next((_LEAVES[b] for b in (str, int, float) if isinstance(obj, b)), None)
+        if leaf is None:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if leaf is not None:
+        if (text := leaf(obj))[-1] in "nf":  # of all leaves only nan, inf and -inf end so
+            raise ValueError("Out of range float values are not JSON compliant: " + repr(obj))
+        return text
+    inner = prefix + "  "  # each part list is unbound, so it is freed before the brackets go on
+    if isinstance(obj, dict):
+        return "{" + inner + ("," + inner).join([encode_basestring_ascii(k) + ": " + dumps(v, inner)
+                                                 for k, v in obj.items()]) + prefix + "}" if obj else "{}"
+    return "[" + inner + ("," + inner).join([dumps(v, inner) for v in obj]) + prefix + "]" if obj else "[]"
 
 
 def trace_columns(width: int) -> list[str]:
@@ -49,17 +73,16 @@ def experiment_records(rows) -> list[dict]:
 
 
 def _write(path, fmt: str, columns: Sequence[str], rows: Iterable[list], records: Iterable[dict]) -> None:
-    """JSON of `records` (the bytes of json.dumps(list(records), indent=2))
+    """JSON of `records` (the bytes of dumps(list(records)))
     or CSV of `rows` under `columns`: only the one `fmt` names is read, each
     item written as it arrives."""
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}")
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         if fmt == "json":
-            encoder = json.JSONEncoder(indent=2, allow_nan=False)
             separator = "[\n  "
             for record in records:
-                handle.write(separator + encoder.encode(record).replace("\n", "\n  "))
+                handle.write(separator + dumps(record, "\n  "))
                 separator = ",\n  "
             handle.write("[]\n" if separator == "[\n  " else "\n]\n")
             return
@@ -69,7 +92,7 @@ def _write(path, fmt: str, columns: Sequence[str], rows: Iterable[list], records
 
 def write_records(path, records: Iterable[dict], columns: Sequence[str], fmt: str = "csv") -> None:
     """Write records as they arrive, as CSV (given column order) or JSON (a
-    list of objects, the bytes of json.dumps(list(records), indent=2))."""
+    list of objects, the bytes of dumps(list(records)))."""
     _write(path, fmt, columns, ([record[c] for c in columns] for record in records), records)
 
 

@@ -5,12 +5,14 @@ the benchmark relies on fails here, not first in a benchmark run.
 Op outputs go to a temporary directory; nothing under bench/ is written.
 """
 
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+TOOLS = BENCH.parent / "tools"
 
 
 @pytest.fixture
@@ -73,12 +75,38 @@ def test_table1_extracts_one_frame_per_trial(workloads, tmp_path):
     assert tracer.stat("experiment.random_spherical_triangle", "calls") == trials
 
 
-def test_table1_peak_below_bound(monkeypatch):
-    """The table1 op's peak_mem_mb, per tools/peak_ops.py: a CSV write of
-    four rows must not cost a fixed 128 KiB buffer."""
+@pytest.fixture
+def peak_ops(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    monkeypatch.syspath_prepend(str(BENCH.parent / "tools"))
+    monkeypatch.syspath_prepend(str(TOOLS))
     import peak_ops
 
+    return peak_ops
+
+
+def test_table1_peak_below_bound(peak_ops):
+    """The table1 op's peak_mem_mb, per tools/peak_ops.py: a CSV write of
+    four rows must not cost a fixed 128 KiB buffer."""
     peaks = peak_ops.op_peaks("table1", 1)
     assert peaks and peaks[0][0] < 0.08
+
+
+def test_cli_peak_below_bound(peak_ops):
+    """The cli op's peak_mem_mb, per tools/peak_ops.py, is set by eigen at
+    n=256: its JSON must not cost the stdlib indent encoder's list of one
+    string per token (0.372 MB with it)."""
+    peaks = peak_ops.op_peaks("cli", 1)
+    assert peaks and peaks[0][0] < 0.25
+
+
+def test_peak_ops_ends_quietly_on_closed_stdout():
+    """`tools/peak_ops.py ... | head` must not end in a BrokenPipeError
+    traceback: the tool's first write here meets a pipe with no reader."""
+    proc = subprocess.Popen(
+        [sys.executable, str(TOOLS / "peak_ops.py"), "--workload", "table1", "--seed", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=300)
+    assert stderr == b""
+    assert proc.returncode == 1

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyreg import circulant, cli, emit, euclid, experiment, hyperbolic, spherical
 from polyreg.euclid import PlaneTriangle
@@ -58,7 +60,47 @@ def reference_write_trace(path, steps, target, fmt="csv"):
             writer.writerow([record[c] for c in columns])
 
 
+# recursive JSON values as cli payloads hold them: str keys, lists and tuples,
+# any text (non-ASCII and control characters), big ints, finite floats
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**30, 10**30)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda children: st.lists(children) | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=40,
+)
+
+
 class TestEmit:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(JSON_VALUES)
+    def test_dumps_is_json_dumps_indent_2(self, value):
+        assert emit.dumps(value) == json.dumps(value, indent=2, allow_nan=False)
+
+    @pytest.mark.parametrize(
+        "value",
+        [-0.0, 5e-324, 1e16, 1e22, np.float64(0.1), [0, True, False, None], [], {}, (),
+         [[], {}, ()], {"a": [], "b": {}, "c": ((),)}],
+        ids=["minus-zero", "subnormal", "1e16", "1e22", "np-float64", "bools-in-list",
+             "empty-list", "empty-dict", "empty-tuple", "nested-empty-list", "nested-empty-dict"],
+    )
+    def test_dumps_named_cases(self, value):
+        assert emit.dumps(value) == json.dumps(value, indent=2, allow_nan=False)
+
+    @pytest.mark.parametrize(
+        "value, error",
+        [(math.nan, ValueError), (math.inf, ValueError), (-math.inf, ValueError),
+         ([1.0, {"x": np.float64(math.inf)}], ValueError), (object(), TypeError),
+         (np.int64(3), TypeError), ({"a": [object()]}, TypeError)],
+        ids=["nan", "inf", "-inf", "nested-np-inf", "object", "np-int64", "nested-object"],
+    )
+    def test_dumps_raises_as_json_does(self, value, error):
+        with pytest.raises(error) as want:
+            json.dumps(value, indent=2, allow_nan=False)
+        with pytest.raises(error) as got:
+            emit.dumps(value)
+        assert str(got.value) == str(want.value)
+
     def test_trace_rows_include_step_zero(self):
         history = [np.array([1.0, 2.0, 3.0]), np.array([1.5, 2.0, 2.5]),
                    np.array([1.75, 2.0, 2.25]), np.array([1.9, 2.0, 2.1])]
@@ -577,6 +619,34 @@ class TestDeterminism:
             steps.append(circulant.apply(spec, steps[-1]))
         reference_write_trace(direct, steps, target)
         assert a.read_bytes() == direct.read_bytes()
+
+
+EIGEN_ROW_256 = np.random.default_rng(256).dirichlet(np.ones(256)).tolist()
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["regularize", "--geometry", "plane", "--input"], TRIANGLE),
+        (["regularize", "--geometry", "sphere", "--input"], SPHERE_TRIANGLE),
+        (["regularize", "--geometry", "hyperbolic", "--input"], HEXAGON),
+        (["eigen", "--spec"], EIGEN_ROW_256),
+        (["napoleon", "--geometry", "plane", "--input"], TRIANGLE),
+        (["napoleon", "--geometry", "sphere", "--input"], SPHERE_TRIANGLE),
+        (["fit", "--input"], SPHERE_TRIANGLE + [[0.0, 0.6, 0.8]]),
+        (["analyze", "--matrix"], [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
+        (["experiment", "table1", "--trials", "4", "--format", "json", "--k"], None),
+    ],
+    ids=["regularize-plane", "regularize-sphere", "regularize-hyperbolic", "eigen-256",
+         "napoleon-plane", "napoleon-sphere", "fit", "analyze", "table1"],
+)
+def test_stdout_is_json_dumps_indent_2(capsys, tmp_path, argv, payload):
+    """Every subcommand prints the bytes json.dumps(..., indent=2) gives
+    its payload, plus a newline."""
+    source = "2,3" if payload is None else write_json(tmp_path / "in.json", payload)
+    code, out = run_cli(capsys, *argv, source)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestOutFile:

@@ -10,12 +10,14 @@ pass measures it: garbage is collected, the peak is reset, and the peak
 above the memory live before the op is taken.  As in a benchmark run, the
 warm-up ops and one untraced pass over the block run first, so no op's
 peak holds a lazily built cache.  bench/ is imported, never written.
+A stdout closed early (`| head`) ends the run quietly, with exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 import tempfile
 import tracemalloc
@@ -67,4 +69,12 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe fails here, inside the try
+    except BrokenPipeError:  # stdout closed early, as by `| head`
+        # as Python's SIGPIPE note does: devnull takes stdout's place, so
+        # the flush at exit does not fail again, and the exit code is 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
